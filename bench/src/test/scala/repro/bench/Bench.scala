@@ -33,15 +33,16 @@ object Bench {
   /** Run `body` with a wall-clock budget, cancelling its Spark jobs on
     * expiry — mirrors the paper's 30-minute experiment timeout (we use a
     * smaller one; timed-out cells are reported as such, like the omitted
-    * FULL why-not bars in Fig 6).
+    * FULL why-not bars in Fig 6). None means the budget ran out; an
+    * exception thrown by `body` is rethrown on the caller's thread.
     */
   def withTimeout[A](spark: SparkSession, seconds: Int)(body: => A): Option[A] = {
     val group  = s"bench-timeout-${System.nanoTime()}"
-    @volatile var result: Option[A] = None
+    @volatile var outcome: Either[Throwable, A] = null
     val worker = new Thread(() => {
       spark.sparkContext.setJobGroup(group, "bench cell", interruptOnCancel = true)
-      try result = Some(body)
-      catch { case _: Throwable => () }
+      try outcome = Right(body)
+      catch { case e: Throwable => outcome = Left(e) }
       finally spark.sparkContext.clearJobGroup()
     })
     worker.setDaemon(true)
@@ -51,7 +52,7 @@ object Bench {
       spark.sparkContext.cancelJobGroup(group)
       worker.join(30000L)
       None
-    } else result
+    } else outcome.fold(e => throw e, Some(_))
   }
 
   /** A row marking a timed-out cell. */
@@ -86,14 +87,11 @@ object Bench {
   ): Double = {
     val total = full.count()
     if (total == 0 || patterns.isEmpty) return 0.0
-    import org.apache.spark.sql.functions._
     val nullable = StructType(full.schema.fields.map(_.copy(nullable = true)))
     val pdf  = patternsToDf(spark, patterns, nullable)
-    val s    = full.toDF(full.columns.map("__s_" + _).toIndexedSeq: _*)
-    val goalEq = goalColNames.map(g => col(g) === col(s"__s_$g"))
-    val varOk  = varCols.map(v => col(v).isNull || col(v) === col(s"__s_$v"))
-    val cond   = (goalEq ++ varOk).reduce(_ && _)
-    val covered = s.join(pdf, cond, "left_semi").distinct().count()
+    val covered = Coverage.renamed(full, "__s_")
+      .join(pdf, Coverage.matchCondition(varCols, goalColNames, "__s_"), "left_semi")
+      .distinct().count()
     covered.toDouble / total
   }
 

@@ -2,33 +2,20 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
-import repro.datalog.Whynot
-import repro.sampling.BatchSampler
-import repro.summarize.{Coverage, Lca, TopK}
+import repro.datalog.{Catalog, Program, ProvQuestion}
+import repro.summarize.{Summarizer, TopK}
 
 /** Fig 8 reproduction: runtime of the top-k construction step alone,
   * varying k from 1 to 10, with the patterns (candidates + completeness
-  * estimates) provided as input — exactly the paper's setup.
+  * estimates) provided as input — exactly the paper's setup. The pool is
+  * the summarizer's own pattern stage, so a union's rules carry their
+  * provenance-share weights.
   */
 class Fig8TopKBench extends SparkSpec {
 
-  /** Produce the pattern pool for a (query, question) pair at sample size nS. */
-  private def patterns(program: repro.datalog.Program, cat: repro.datalog.Catalog,
-                       pq: repro.datalog.ProvQuestion, nS: Int) = {
-    val cfg = BatchSampler.Config(nS = nS, seed = 42L)
-    program.rules.flatMap { r =>
-      val sOpt = pq.qtype match {
-        case Whynot => BatchSampler.whynotSample(spark, program, r, cat, pq.tuple, cfg)
-        case _      => BatchSampler.whySample(spark, program, r, cat, pq.tuple, cfg)
-      }
-      sOpt.toSeq.flatMap { s =>
-        val c       = Lca.candidates(s.sample, s.varCols, s.goalColNames)
-        val counted = Coverage.matchCounts(c, s.sample, s.varCols, s.goalColNames)
-        Coverage.collectPatterns(r.name, counted, s.varCols, s.goalColNames,
-          s.sampleCount, 1.0)
-      }
-    }.toVector
-  }
+  /** The summarizer's pattern pool for a (query, question) pair at sample size nS. */
+  private def patterns(program: Program, cat: Catalog, pq: ProvQuestion, nS: Int) =
+    Summarizer.pool(spark, program, cat, pq, Summarizer.Config(nS = nS, seed = 42L)).patterns
 
   test("Fig 8: top-k runtime for k = 1..10 with patterns as input") {
     val cases = Seq(

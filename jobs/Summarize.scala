@@ -55,6 +55,9 @@ object Summarize {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"summarize-$caseName")
+      // The tests' and benchmarks' settings, so a CLI run measures the same plans.
+      .config("spark.sql.shuffle.partitions", 8)
+      .config("spark.sql.codegen.wholeStage", false)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try {

@@ -23,11 +23,7 @@ object SingleDerivation {
   ): Option[Explanation] = {
     val cfg = BatchSampler.Config(nS = 1, seed = seed)
     program.rules.iterator.flatMap { r =>
-      val s = pq.qtype match {
-        case Whynot => BatchSampler.whynotSample(spark, program, r, catalog, pq.tuple, cfg)
-        case Why    => BatchSampler.whySample(spark, program, r, catalog, pq.tuple, cfg)
-      }
-      s.flatMap { rs =>
+      BatchSampler.sample(spark, program, r, catalog, pq, cfg).flatMap { rs =>
         rs.sample.limit(1).collect().headOption.map { (row: Row) =>
           Explanation(
             r.name,

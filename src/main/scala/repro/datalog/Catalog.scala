@@ -37,13 +37,8 @@ final class Catalog(
         relation(rel).select(col(c).as("v")).where(col("v").isNotNull).distinct()
     }
 
-  def withRelation(name: String, df: DataFrame): Catalog =
-    new Catalog(relations + (name -> df), domainOverrides)
-
   def withDomain(rel: String, pos: Int, dom: DataFrame): Catalog =
     new Catalog(relations, domainOverrides + ((rel, pos) -> dom))
-
-  def relationNames: Set[String] = relations.keySet
 
   /** Validate that every atom of the rule refers to a known relation with
     * matching arity — catches schema drift between queries and generators.

@@ -52,14 +52,4 @@ object Unify {
     )
     Some(Unified(unified, binding, unified.variables))
   }
-
-  /** Client-side tuple-vs-p-tuple match `t ≼ 𝒕` (paper §2.2): constants must
-    * agree; placeholders match anything. Values are compared on their string
-    * form so Long/Int encodings of the same constant agree.
-    */
-  def tupleMatches(tuple: Seq[Any], t: PTuple): Boolean =
-    tuple.size == t.arity && tuple.zip(t.args).forall {
-      case (v, Const(c)) => String.valueOf(v) == String.valueOf(c)
-      case (_, _: Var)   => true
-    }
 }

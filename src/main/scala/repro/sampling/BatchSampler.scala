@@ -40,8 +40,8 @@ object BatchSampler {
   /** The sample of one rule's provenance plus the estimates the summarizer
     * needs downstream.
     *
-    * @param sample       annotated derivations (unbound-var cols + g cols), cached
-    * @param sampleCount  |sample| (≤ nS; the denominator of cp estimates)
+    * @param sample       annotated derivations (`varCols` + `goalColNames`), cached
+    * @param sampleCount  |sample| (≤ nS; the denominator of cp estimates; > 0)
     * @param nOS          over-sampling size used (0 when FULL enumeration ran)
     * @param provEstimate estimated |Prov_r(Φ)| — used to weight rules of a
     *                     union when merging their patterns (paper §5.2
@@ -52,13 +52,16 @@ object BatchSampler {
       rule: Rule,
       unified: Unify.Unified,
       sample: DataFrame,
-      varCols: Seq[String],
-      goalColNames: Seq[String],
       sampleCount: Long,
       nOS: Long,
       provEstimate: Double,
       exact: Boolean,
-  )
+  ) {
+    /** The unbound-variable columns, in pattern-argument order. */
+    val varCols: Seq[String] = unified.unboundVars.map(_.name)
+    /** The goal-annotation columns `g0..g(m-1)`. */
+    val goalColNames: Seq[String] = DerivationOps.goalCols(unified.rule.atoms.size)
+  }
 
   /** `#_id(SAMPLE_n(dom))`: n values drawn with replacement, zip-keyed by
     * `__sid`. Deterministic in `seed`.
@@ -93,31 +96,51 @@ object BatchSampler {
     df.orderBy(xxhash64(cols :+ lit(seed): _*)).limit(n.toInt)
   }
 
-  /** Sample the why-not provenance contributed by `rule` to question
-    * `(t, Whynot)`. Returns None when the rule cannot produce derivations
-    * matching `t` (head clash, violated ground comparison, empty domain,
-    * or no missing answers).
+  /** The provenance of `rule` for question `pq` — the one entry point every
+    * pipeline stage gets a rule's sample through. Unifies the rule with the
+    * p-tuple and checks its ground comparisons once, then captures why
+    * provenance exactly or samples why-not provenance (ground, FULL or
+    * batch-sampled). Returns None whenever the rule contributes no
+    * derivations: head clash, violated ground comparison, empty domain, no
+    * missing answers, or an empty result.
     */
-  def whynotSample(
+  def sample(
       spark: SparkSession,
       program: Program,
       rule: Rule,
       catalog: Catalog,
-      t: PTuple,
+      pq: ProvQuestion,
       cfg: Config,
-  ): Option[RuleSample] = {
-    val unifiedOpt = Unify.unify(rule, t)
-    if (unifiedOpt.isEmpty) return None
-    val u = unifiedOpt.get
-    if (!DerivationOps.groundComparisonsHold(u.rule)) return None
-    val m = u.rule.atoms.size
+  ): Option[RuleSample] =
+    Unify.unify(rule, pq.tuple)
+      .filter(u => DerivationOps.groundComparisonsHold(u.rule))
+      .flatMap { u =>
+        pq.qtype match {
+          case Why    => why(spark, program, rule, u, catalog, pq.tuple, cfg)
+          case Whynot => whynot(spark, program, rule, u, catalog, pq.tuple, cfg)
+        }
+      }
 
+  /** [[sample]] for `(t, Whynot)`. */
+  def whynotSample(spark: SparkSession, program: Program, rule: Rule, catalog: Catalog,
+                   t: PTuple, cfg: Config): Option[RuleSample] =
+    sample(spark, program, rule, catalog, ProvQuestion(t, Whynot), cfg)
+
+  /** [[sample]] for `(t, Why)`. */
+  def whySample(spark: SparkSession, program: Program, rule: Rule, catalog: Catalog,
+                t: PTuple, cfg: Config): Option[RuleSample] =
+    sample(spark, program, rule, catalog, ProvQuestion(t, Why), cfg)
+
+  /** Why-not provenance of the unified rule `u`: the ground derivation,
+    * FULL enumeration of a small space, or the batch sample of §5.2.
+    */
+  private def whynot(spark: SparkSession, program: Program, rule: Rule, u: Unify.Unified,
+                     catalog: Catalog, t: PTuple, cfg: Config): Option[RuleSample] = {
     if (u.unboundVars.isEmpty) {
       val df = DerivationOps.groundDerivation(spark, program, u.rule, catalog, t, Whynot).cache()
       val c  = df.count()
-      return Some(RuleSample(rule, u, df, Nil, DerivationOps.goalCols(m), c, 0L, c.toDouble, exact = true))
+      return Option.when(c > 0)(RuleSample(rule, u, df, c, 0L, c.toDouble, exact = true))
     }
-
     // Domain sizes drive |A(Q,D,t)| and the over-sampling size.
     val domains = u.unboundVars.map { v =>
       val d = DerivationOps.varDomain(u.rule, v, catalog).cache()
@@ -154,8 +177,7 @@ object BatchSampler {
       // cost is O(spaceSize), not O(provenance).)
       val full = FullWhyNot.derivations(spark, program, rule, catalog, t).get.cache()
       val c    = full.count()
-      return Some(RuleSample(rule, u, full, u.unboundVars.map(_.name),
-        DerivationOps.goalCols(m), c, 0L, c.toDouble, exact = true))
+      return Option.when(c > 0)(RuleSample(rule, u, full, c, 0L, c.toDouble, exact = true))
     }
 
     val nOS = OverSampling.minOverSample(cfg.nS, pDraw, cfg.pSuccess, cfg.nOSCap)
@@ -170,34 +192,21 @@ object BatchSampler {
     val annotated = DerivationOps.annotate(missing, u.rule, catalog).distinct()
     val sample  = takeN(annotated, cfg.nS, cfg.seed).cache()
     val c       = sample.count()
-    if (c == 0) None
-    else Some(RuleSample(rule, u, sample, u.unboundVars.map(_.name),
-      DerivationOps.goalCols(m), c, nOS, provEstimate, exact = false))
+    Option.when(c > 0)(RuleSample(rule, u, sample, c, nOS, provEstimate, exact = false))
   }
 
-  /** Sample the why provenance contributed by `rule`: capture the successful
+  /** Why provenance of the unified rule `u`: capture the successful
     * derivations exactly (PUG instrumentation, paper §4) and keep `n_S` of
     * them uniformly.
     */
-  def whySample(
-      spark: SparkSession,
-      program: Program,
-      rule: Rule,
-      catalog: Catalog,
-      t: PTuple,
-      cfg: Config,
-  ): Option[RuleSample] = {
-    val unifiedOpt = Unify.unify(rule, t)
-    if (unifiedOpt.isEmpty) return None
-    val u = unifiedOpt.get
-    if (!DerivationOps.groundComparisonsHold(u.rule)) return None
+  private def why(spark: SparkSession, program: Program, rule: Rule, u: Unify.Unified,
+                  catalog: Catalog, t: PTuple, cfg: Config): Option[RuleSample] = {
     val all = WhyProv.derivations(spark, program, rule, catalog, t).get.cache()
     val total = all.count()
     if (total == 0) return None
     val exact  = total <= cfg.nS
     val sample = if (exact) all else takeN(all, cfg.nS, cfg.seed).cache()
     val c      = if (exact) total else sample.count()
-    Some(RuleSample(rule, u, sample, u.unboundVars.map(_.name),
-      DerivationOps.goalCols(u.rule.atoms.size), c, 0L, total.toDouble, exact))
+    Some(RuleSample(rule, u, sample, c, 0L, total.toDouble, exact))
   }
 }

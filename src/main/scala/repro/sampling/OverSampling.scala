@@ -73,7 +73,7 @@ object OverSampling {
   /** Minimum `n_OS >= n_S` with `tailAtLeast(n_OS, n_S, p) >= pSuccess`,
     * capped at `cap` (the paper's guarantee becomes best-effort when the
     * success probability is so small that the exact size would be
-    * impractical — the caller logs the cap).
+    * impractical). A capped draw shows as `RuleSample.nOS == cfg.nOSCap`.
     */
   def minOverSample(nS: Long, p: Double, pSuccess: Double, cap: Long = 10_000_000L): Long = {
     require(nS >= 1, s"nS=$nS")

@@ -1,6 +1,6 @@
 package repro.summarize
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 /** Completeness estimation (paper §7): the paper's `Q_match` joins the LCA
@@ -11,8 +11,22 @@ import org.apache.spark.sql.functions._
   */
 object Coverage {
 
-  private def renamed(df: DataFrame, prefix: String): DataFrame =
+  /** `df` with every column name prefixed, so both sides of a self-join
+    * stay apart.
+    */
+  def renamed(df: DataFrame, prefix: String): DataFrame =
     df.toDF(df.columns.map(prefix + _).toIndexedSeq: _*)
+
+  /** The placeholder-tolerant match condition between a pattern row
+    * (unprefixed columns) and a derivation row (columns prefixed by
+    * `prefix`): goal annotations equal and `X = S.X ∨ X IS NULL` per
+    * variable.
+    */
+  def matchCondition(varCols: Seq[String], goalColNames: Seq[String], prefix: String): Column = {
+    val goalEq = goalColNames.map(g => col(g) === col(s"$prefix$g"))
+    val varOk  = varCols.map(v => col(v).isNull || col(v) === col(s"$prefix$v"))
+    (goalEq ++ varOk).reduce(_ && _)
+  }
 
   /** Match counts: the candidate columns plus `__matches`. Candidates always
     * have ≥1 match (their LCA generators are in the sample), so an inner
@@ -20,12 +34,8 @@ object Coverage {
     */
   def matchCounts(candidates: DataFrame, sample: DataFrame,
                   varCols: Seq[String], goalColNames: Seq[String]): DataFrame = {
-    val s = renamed(sample, "__s_")
-    val goalEq = goalColNames.map(g => col(g) === col(s"__s_$g"))
-    val varOk  = varCols.map(v => col(v).isNull || col(v) === col(s"__s_$v"))
-    val cond   = (goalEq ++ varOk).reduce(_ && _)
     candidates
-      .join(s, cond, "inner")
+      .join(renamed(sample, "__s_"), matchCondition(varCols, goalColNames, "__s_"), "inner")
       .groupBy((varCols ++ goalColNames).map(col): _*)
       .agg(count(lit(1)).as("__matches"))
   }

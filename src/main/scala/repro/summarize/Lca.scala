@@ -15,15 +15,12 @@ import org.apache.spark.sql.functions._
   */
 object Lca {
 
-  private def renamed(df: DataFrame, prefix: String): DataFrame =
-    df.toDF(df.columns.map(prefix + _).toIndexedSeq: _*)
-
   /** Candidate patterns for one rule's sample: same schema as the sample
     * (variable columns, NULL = placeholder, plus goal columns), distinct.
     */
   def candidates(sample: DataFrame, varCols: Seq[String], goalColNames: Seq[String]): DataFrame = {
     if (varCols.isEmpty) return sample.distinct() // ground rule: only the empty pattern
-    val right = renamed(sample, "__r_")
+    val right = Coverage.renamed(sample, "__r_")
     val cond  = goalColNames.map(g => col(g) === col(s"__r_$g")).reduce(_ && _)
     val proj =
       varCols.map(v => when(col(v) === col(s"__r_$v"), col(v)).as(v)) ++

@@ -46,6 +46,24 @@ object Summarizer {
         * the paper's FULL baseline (only feasible for tiny domains).
         */
       full: Boolean = false,
+  ) {
+    /** The sampler settings these summarizer settings stand for. FULL mode
+      * never samples: an unbounded `fullEnumFactor` forces why-not
+      * enumeration, and an unbounded `nS` keeps every why derivation.
+      */
+    def sampler: BatchSampler.Config = {
+      val base = BatchSampler.Config(nS = nS, pSuccess = pSuccess, seed = seed, nOSCap = nOSCap)
+      if (full) base.copy(nS = Int.MaxValue, fullEnumFactor = Double.MaxValue) else base
+    }
+  }
+
+  /** The pattern pool the top-k search draws from, with the per-rule
+    * samples it came from; `times.topkMs` is 0.
+    */
+  final case class Pool(
+      ruleSamples: Vector[BatchSampler.RuleSample],
+      patterns: Vector[Pattern],
+      times: StageTimes,
   )
 
   private def timed[A](body: => A): (A, Long) = {
@@ -54,37 +72,22 @@ object Summarizer {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** Compute the top-k provenance summary for question `pq` over `program`
-    * and `catalog`.
+  /** The pattern stage of [[summarize]]: per-rule provenance samples, LCA
+    * candidates and their match counts, collected into patterns whose cp is
+    * weighted by the rule's share of the estimated |Prov(Φ)|.
     */
-  def summarize(
+  def pool(
       spark: SparkSession,
       program: Program,
       catalog: Catalog,
       pq: ProvQuestion,
       cfg: Config = Config(),
-  ): Result = {
-    // FULL mode: never sample — enumerate why-not exactly (fullEnumFactor=∞
-    // forces the enumeration branch) and keep every why derivation.
-    val samplerCfg = BatchSampler.Config(
-      nS = if (cfg.full) Int.MaxValue else cfg.nS,
-      pSuccess = cfg.pSuccess, seed = cfg.seed, nOSCap = cfg.nOSCap,
-      fullEnumFactor = if (cfg.full) Double.MaxValue else 4.0)
-
+  ): Pool = {
     // Stage 1: per-rule provenance samples (the count() inside the sampler
     // materializes the cached sample, so the timing covers the real work).
     val (samples, sampleMs) = timed {
-      program.rules.flatMap { r =>
-        pq.qtype match {
-          case Whynot => BatchSampler.whynotSample(spark, program, r, catalog, pq.tuple, samplerCfg)
-          case Why    => BatchSampler.whySample(spark, program, r, catalog, pq.tuple, samplerCfg)
-        }
-      }
+      program.rules.flatMap(r => BatchSampler.sample(spark, program, r, catalog, pq, cfg.sampler))
     }
-    if (samples.isEmpty)
-      return Result(pq, TopK.Summary(Vector.empty, 0, 0, 0, 0, 0, optimal = true, 0),
-        Vector.empty, Vector.empty, StageTimes(sampleMs, 0, 0, 0))
-
     val totalProv = samples.map(_.provEstimate).sum
 
     // Stage 2: LCA candidates per rule (cached + counted to materialize).
@@ -102,16 +105,28 @@ object Summarizer {
         val counted = Coverage.matchCounts(c, s.sample, s.varCols, s.goalColNames)
         Coverage.collectPatterns(s.rule.name, counted, s.varCols, s.goalColNames,
           s.sampleCount, s.provEstimate / totalProv)
-      }.toVector
-    }
-
-    // Stage 4: top-k best-first search (client-side).
-    val (summary, topkMs) = timed {
-      TopK.summarize(patterns, cfg.k, cfg.maxPatterns, cfg.maxPops)
+      }
     }
 
     cands.foreach(_._2.unpersist())
-    Result(pq, summary, patterns, samples.toVector,
-      StageTimes(sampleMs, lcaMs, matchMs, topkMs))
+    Pool(samples, patterns, StageTimes(sampleMs, lcaMs, matchMs, 0L))
+  }
+
+  /** Compute the top-k provenance summary for question `pq` over `program`
+    * and `catalog`: the pattern [[pool]], then the client-side top-k
+    * best-first search.
+    */
+  def summarize(
+      spark: SparkSession,
+      program: Program,
+      catalog: Catalog,
+      pq: ProvQuestion,
+      cfg: Config = Config(),
+  ): Result = {
+    val p = pool(spark, program, catalog, pq, cfg)
+    val (summary, topkMs) = timed {
+      TopK.summarize(p.patterns, cfg.k, cfg.maxPatterns, cfg.maxPops)
+    }
+    Result(pq, summary, p.patterns, p.ruleSamples, p.times.copy(topkMs = topkMs))
   }
 }

@@ -3,7 +3,7 @@ package repro.datalog
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
-/** ScalaCheck laws for p-tuple unification and tuple matching. */
+/** ScalaCheck laws for p-tuple unification. */
 class UnifyLawsSpec extends AnyFunSuite {
 
   private def check(prop: Prop, name: String): Unit = {
@@ -46,17 +46,6 @@ class UnifyLawsSpec extends AnyFunSuite {
     check(Prop.forAll(ptupleGen) { t =>
       Unify.unify(rule, t).get.bound.size == t.numConstants
     }, "count")
-  }
-
-  test("tuple matching is invariant under the substitution") {
-    check(Prop.forAll(ptupleGen, Gen.choose(0L, 5L), Gen.choose(0L, 5L)) { (t, a, b) =>
-      val matches = Unify.tupleMatches(Seq(a, b), t)
-      val agrees = t.args.zip(Seq(a, b)).forall {
-        case (Const(c), v) => String.valueOf(c) == String.valueOf(v)
-        case _             => true
-      }
-      matches == agrees
-    }, "match")
   }
 
   test("unified comparisons reference only unified-rule terms") {

@@ -57,18 +57,4 @@ class UnifySpec extends AnyFunSuite {
     assert(u.rule.atoms.head.args(3) == Const("swanton"))
     assert(u.unboundVars.map(_.name).toSet == Set("I", "B", "G", "T"))
   }
-
-  test("tupleMatches: constants must agree, placeholders match anything") {
-    val t = PTuple("AL", Vector(Var("N"), Const("shared")))
-    assert(Unify.tupleMatches(Seq("plum", "shared"), t))
-    assert(!Unify.tupleMatches(Seq("plum", "entire"), t))
-    assert(!Unify.tupleMatches(Seq("plum"), t))
-  }
-
-  test("tupleMatches compares on string form across numeric encodings") {
-    val t = PTuple("Q", Vector(Const(4L)))
-    assert(Unify.tupleMatches(Seq(4L), t))
-    assert(Unify.tupleMatches(Seq("4"), t))
-    assert(!Unify.tupleMatches(Seq(5L), t))
-  }
 }

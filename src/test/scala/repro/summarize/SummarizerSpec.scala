@@ -55,18 +55,30 @@ class SummarizerSpec extends SparkSpec {
   }
 
   test("empty provenance yields an empty summary") {
-    val res = Summarizer.summarize(spark, Queries.rEx, rex,
-      ProvQuestion(PTuple("Qex", Vector(Const(1L), Const(4L))), Whynot),
-      Summarizer.Config(nS = 10, k = 3))
-    assert(res.summary.patterns.isEmpty)
-    assert(res.allPatterns.isEmpty)
+    // Qex(1,4) and Qg(1,2) are existing answers, so neither has why-not
+    // provenance; Qg's rule is fully ground after unification.
+    val ground = Program(Vector(Rule("qg", "Qg", Vector(Var("A"), Var("B")),
+      Vector(Atom("R", Vector(Var("A"), Var("B")))))))
+    for ((program, t) <- Seq(
+        (Queries.rEx, PTuple("Qex", Vector(Const(1L), Const(4L)))),
+        (ground, PTuple("Qg", Vector(Const(1L), Const(2L)))))) {
+      val res = Summarizer.summarize(spark, program, rex, ProvQuestion(t, Whynot),
+        Summarizer.Config(nS = 10, k = 3))
+      assert(res.summary.patterns.isEmpty, t)
+      assert(res.allPatterns.isEmpty, t)
+    }
   }
 
   test("union query: summary draws patterns per rule and weights them") {
     val cat = Datasets.movies(spark, 80)
-    val res = Summarizer.summarize(spark, Queries.r4, cat, Queries.whynotR4,
-      Summarizer.Config(nS = 60, k = 3, seed = 3L))
+    val cfg = Summarizer.Config(nS = 60, k = 3, seed = 3L)
+    val res = Summarizer.summarize(spark, Queries.r4, cat, Queries.whynotR4, cfg)
     assert(res.ruleSamples.size == 3) // r4, r4', r4'' all contribute
+    // The exposed pattern stage is exactly the pool the top-k search saw,
+    // and the per-rule provenance-share weights sum to 1.
+    assert(Summarizer.pool(spark, Queries.r4, cat, Queries.whynotR4, cfg).patterns == res.allPatterns)
+    val provs = res.ruleSamples.map(_.provEstimate)
+    assert(provs.forall(_ > 0) && math.abs(provs.map(_ / provs.sum).sum - 1.0) < 1e-9)
     val ruleNames = res.allPatterns.map(_.ruleName).toSet
     assert(ruleNames.subsetOf(Set("r4", "r4p", "r4pp")) && ruleNames.nonEmpty)
     // Weights sum to 1 across rules: total cp of the all-placeholder

@@ -37,9 +37,8 @@ object ArtemisSim {
         case Why    => WhyProv.derivations(spark, program, r, catalog, pq.tuple)
       }
       dfOpt.map { df =>
-        val u       = Unify.unify(r, pq.tuple).get
-        val nVars   = u.unboundVars.size
-        val rows    = df.collect() // all-derivations: the whole space, client-side
+        val nVars = df.columns.length - r.atoms.size // goal columns come last
+        val rows  = df.collect() // all-derivations: the whole space, client-side
         (r.name, nVars, rows)
       }
     }

@@ -121,7 +121,6 @@ final case class Program(rules: Vector[Rule]) {
   require(rules.map(_.headArgs.size).distinct.size == 1,
     "UCQ rules must share head arity")
   def headPred: String = rules.head.headPred
-  def headArity: Int   = rules.head.headArgs.size
 }
 
 object Program {
@@ -136,8 +135,6 @@ final case class PTuple(pred: String, args: Vector[Term]) {
   def arity: Int = args.size
   def constantsAt: Vector[(Int, Any)] =
     args.zipWithIndex.collect { case (Const(v), i) => (i, v) }
-  /** Number of constants C(t) (paper Def. 8). */
-  def numConstants: Int = args.count(_.isInstanceOf[Const])
   override def toString: String = s"$pred(${args.mkString(", ")})"
 }
 

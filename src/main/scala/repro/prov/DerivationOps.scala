@@ -1,6 +1,6 @@
 package repro.prov
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.datalog._
 
@@ -36,6 +36,29 @@ object DerivationOps {
     // enumeration cross-joins them with broadcast joins disabled) multiplies
     // its inputs' partition counts — 8^n partitions otherwise.
     dom.coalesce(1)
+  }
+
+  /** The derivation space of `unified` enumerated in full: the cross
+    * product of its variables' `domains`. A rule with no unbound variable
+    * has one valuation, the empty one: a frame of one row and no columns.
+    */
+  def fullSpace(spark: SparkSession, domains: Seq[DataFrame]): DataFrame =
+    domains.reduceOption(_.crossJoin(_)).getOrElse(spark.range(1).drop("id"))
+
+  /** The why-not derivations of `unified` in a derivation space (one column
+    * per unbound variable): `θ_join`, then `Q_der`, then goal annotation
+    * (paper §5.2). FULL feeds it [[fullSpace]], the batch sampler its
+    * zipped draws.
+    */
+  def whynotDerivations(
+      space: DataFrame,
+      program: Program,
+      catalog: Catalog,
+      t: PTuple,
+      unified: Rule,
+  ): DataFrame = {
+    val bound = applyJoinComparisons(space, unified)
+    annotate(removeExisting(bound, program, catalog, t, unified), unified, catalog)
   }
 
   /** Apply variable–variable comparisons (`θ_join`, paper §5.2) and any
@@ -121,36 +144,5 @@ object DerivationOps {
     }
     val keep = bind.columns.map(col).toSeq ++ goalExprs
     df.select(keep: _*)
-  }
-
-  /** The annotated derivation of a fully ground unified rule (no unbound
-    * variables): zero rows if the rule contributes nothing (comparisons
-    * violated or, for Whynot, the head exists), otherwise one row holding
-    * only goal columns.
-    */
-  def groundDerivation(
-      spark: SparkSession,
-      program: Program,
-      unified: Rule,
-      catalog: Catalog,
-      t: PTuple,
-      qtype: PQType,
-  ): DataFrame = {
-    val m    = unified.atoms.size
-    val unit = spark.range(1).drop("id")
-    val empty = spark.range(0).drop("id")
-      .select(goalCols(m).map(g => lit(false).as(g)): _*)
-    if (!groundComparisonsHold(unified)) return empty
-    val flags = unified.atoms.map { atom =>
-      val exists = !DatalogEval.atomBindings(atom.copy(negated = false), catalog).isEmpty
-      exists != atom.negated
-    }
-    val succeeded = flags.forall(identity)
-    val wanted = qtype match {
-      case Why    => succeeded
-      case Whynot => !succeeded && DatalogEval.restrictedAnswers(program, catalog, t).isEmpty
-    }
-    if (!wanted) empty
-    else unit.select(flags.zipWithIndex.map { case (f, i) => lit(f).as(s"g$i") }: _*)
   }
 }

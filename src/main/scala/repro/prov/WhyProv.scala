@@ -14,7 +14,8 @@ object WhyProv {
 
   /** Annotated why-provenance derivations of one rule for p-tuple `t`:
     * columns = unbound variables of the unified rule + `g0..g(m-1)` (all
-    * true). Returns None when the rule cannot match `t`.
+    * true). None when the rule cannot match `t` or its ground comparisons
+    * are violated.
     */
   def derivations(
       spark: SparkSession,
@@ -23,23 +24,30 @@ object WhyProv {
       catalog: Catalog,
       t: PTuple,
   ): Option[DataFrame] =
-    Unify.unify(rule, t).map { u =>
-      if (u.unboundVars.isEmpty)
-        DerivationOps.groundDerivation(spark, program, u.rule, catalog, t, Why)
-      else {
-        val b = DatalogEval.bindings(u.rule, catalog)
-        val goals = u.rule.atoms.indices.map(i => lit(true).as(s"g$i"))
-        b.select(u.unboundVars.map(v => col(v.name)) ++ goals: _*)
-      }
-    }
+    Unify.unify(rule, t)
+      .filter(u => DerivationOps.groundComparisonsHold(u.rule))
+      .map(u => successful(spark, u, catalog))
+
+  /** The annotated successful derivations of the unified rule `u`. A ground
+    * rule has the one empty valuation, which succeeds iff every goal holds
+    * ([[DatalogEval.bindings]] needs a variable).
+    */
+  def successful(spark: SparkSession, u: Unify.Unified, catalog: Catalog): DataFrame = {
+    val goals = DerivationOps.goalCols(u.rule.atoms.size)
+    if (u.unboundVars.isEmpty)
+      DerivationOps.annotate(DerivationOps.fullSpace(spark, Nil), u.rule, catalog)
+        .where(goals.map(col).reduce(_ && _))
+    else
+      DatalogEval.bindings(u.rule, catalog)
+        .select(u.unboundVars.map(v => col(v.name)) ++ goals.map(g => lit(true).as(g)): _*)
+  }
 }
 
 /** Exhaustive why-not enumeration — the paper's FULL baseline (§9.1) and
-  * the ground truth for tests. Cross-joins the complete per-variable
-  * domains instead of sampling; everything downstream (answer anti-join,
-  * goal annotation) is shared with the batch sampler. Cost is
-  * O(Π|D_X|) = O(|D|^n), which is the point: it is only feasible for tiny
-  * domains.
+  * the ground truth for tests: [[DerivationOps.whynotDerivations]] over the
+  * cross product of the complete per-variable domains instead of a sample.
+  * Cost is O(Π|D_X|) = O(|D|^n), which is the point: it is only feasible
+  * for tiny domains.
   */
 object FullWhyNot {
 
@@ -54,16 +62,11 @@ object FullWhyNot {
       catalog: Catalog,
       t: PTuple,
   ): Option[DataFrame] =
-    Unify.unify(rule, t).flatMap { u =>
-      if (!DerivationOps.groundComparisonsHold(u.rule)) None
-      else if (u.unboundVars.isEmpty)
-        Some(DerivationOps.groundDerivation(spark, program, u.rule, catalog, t, Whynot))
-      else {
+    Unify.unify(rule, t)
+      .filter(u => DerivationOps.groundComparisonsHold(u.rule))
+      .map { u =>
         val domains = u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
-        val cross   = domains.reduce(_.crossJoin(_))
-        val bound   = DerivationOps.applyJoinComparisons(cross, u.rule)
-        val missing = DerivationOps.removeExisting(bound, program, catalog, t, u.rule)
-        Some(DerivationOps.annotate(missing, u.rule, catalog))
+        DerivationOps.whynotDerivations(DerivationOps.fullSpace(spark, domains),
+          program, catalog, t, u.rule)
       }
-    }
 }

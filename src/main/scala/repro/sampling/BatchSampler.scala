@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.datalog._
-import repro.prov.{DerivationOps, FullWhyNot, WhyProv}
+import repro.prov.{DerivationOps, WhyProv}
 
 /** Batch sampling of why-not (and why) provenance (paper §5).
   *
@@ -17,8 +17,12 @@ import repro.prov.{DerivationOps, FullWhyNot, WhyProv}
   *    hash index and the `row_number`-indexed domain, so it stays a pure
   *    relational plan and is reproducible from the seed.
   *  - `Q_bind` — natural join of the `Q_X` on the zip id + `θ_join`.
-  *  - `Q_der`  — anti-join against σ_t(Q) (shared with [[FullWhyNot]]).
-  *  - `Q_sample` — outer-join goal annotation + δ (shared).
+  *  - `Q_der`  — anti-join against σ_t(Q).
+  *  - `Q_sample` — outer-join goal annotation + δ.
+  *
+  * `Q_bind`'s θ_join, `Q_der` and the annotation are
+  * [[repro.prov.DerivationOps.whynotDerivations]], which FULL enumeration
+  * runs over the whole space instead.
   *
   * `n_OS` comes from [[OverSampling]] so that with probability `P_success`
   * at least `n_S` draws survive both `θ_join` and the missing-answer filter.
@@ -31,7 +35,8 @@ object BatchSampler {
       pSuccess: Double = 0.999,
       seed: Long = 42L,
       nOSCap: Long = 2_000_000L,
-      /** Below `fullEnumFactor * nS` estimated derivations, skip sampling and
+      /** Up to `fullEnumFactor * nS` valuations in the space (and always for
+        * a space of one, such as a ground rule's), skip sampling and
         * enumerate the space exactly — cheaper and exact.
         */
       fullEnumFactor: Double = 4.0,
@@ -47,6 +52,10 @@ object BatchSampler {
     *                     union when merging their patterns (paper §5.2
     *                     "Queries With Multiple Rules")
     * @param exact        true when the sample IS the full provenance
+    * @param domains      the cached variable domains a why-not sample was
+    *                     drawn from; still persisted, because the rules of a
+    *                     union share them ([[repro.summarize.Summarizer.pool]]
+    *                     releases them once every rule is sampled)
     */
   final case class RuleSample(
       rule: Rule,
@@ -56,6 +65,7 @@ object BatchSampler {
       nOS: Long,
       provEstimate: Double,
       exact: Boolean,
+      domains: Seq[DataFrame] = Nil,
   ) {
     /** The unbound-variable columns, in pattern-argument order. */
     val varCols: Seq[String] = unified.unboundVars.map(_.name)
@@ -99,10 +109,11 @@ object BatchSampler {
   /** The provenance of `rule` for question `pq` — the one entry point every
     * pipeline stage gets a rule's sample through. Unifies the rule with the
     * p-tuple and checks its ground comparisons once, then captures why
-    * provenance exactly or samples why-not provenance (ground, FULL or
-    * batch-sampled). Returns None whenever the rule contributes no
-    * derivations: head clash, violated ground comparison, empty domain, no
-    * missing answers, or an empty result.
+    * provenance exactly or samples why-not provenance (FULL or
+    * batch-sampled). Every cache it creates is released, apart from the
+    * returned sample and its `domains`. Returns None whenever the rule
+    * contributes no derivations: head clash, violated ground comparison,
+    * empty domain, no missing answers, or an empty result.
     */
   def sample(
       spark: SparkSession,
@@ -116,7 +127,7 @@ object BatchSampler {
       .filter(u => DerivationOps.groundComparisonsHold(u.rule))
       .flatMap { u =>
         pq.qtype match {
-          case Why    => why(spark, program, rule, u, catalog, pq.tuple, cfg)
+          case Why    => why(spark, rule, u, catalog, cfg)
           case Whynot => whynot(spark, program, rule, u, catalog, pq.tuple, cfg)
         }
       }
@@ -131,22 +142,23 @@ object BatchSampler {
                 t: PTuple, cfg: Config): Option[RuleSample] =
     sample(spark, program, rule, catalog, ProvQuestion(t, Why), cfg)
 
-  /** Why-not provenance of the unified rule `u`: the ground derivation,
-    * FULL enumeration of a small space, or the batch sample of §5.2.
+  /** Why-not provenance of the unified rule `u`: [[DerivationOps.whynotDerivations]]
+    * over the full space when it is small (a ground rule's one valuation
+    * included), else over the batch sample of §5.2. The variable domains
+    * stay cached in the returned sample's `domains`, since the rules of a
+    * union share them.
     */
   private def whynot(spark: SparkSession, program: Program, rule: Rule, u: Unify.Unified,
                      catalog: Catalog, t: PTuple, cfg: Config): Option[RuleSample] = {
-    if (u.unboundVars.isEmpty) {
-      val df = DerivationOps.groundDerivation(spark, program, u.rule, catalog, t, Whynot).cache()
-      val c  = df.count()
-      return Option.when(c > 0)(RuleSample(rule, u, df, c, 0L, c.toDouble, exact = true))
-    }
     // Domain sizes drive |A(Q,D,t)| and the over-sampling size.
     val domains = u.unboundVars.map { v =>
       val d = DerivationOps.varDomain(u.rule, v, catalog).cache()
       (v, d, d.count())
     }
-    if (domains.exists(_._3 == 0L)) return None
+    val frames = domains.map(_._2)
+    // No derivations: nothing downstream needs the domains.
+    def nothing: Option[RuleSample] = { frames.foreach(_.unpersist()); None }
+    if (domains.exists(_._3 == 0L)) return nothing
     val domSize  = domains.map { case (v, _, c) => v -> c }.toMap
     val spaceSize = domains.map(_._3.toDouble).product
 
@@ -169,44 +181,53 @@ object BatchSampler {
 
     val pDraw        = sel * (1.0 - pNotProv)
     val provEstimate = spaceSize * pDraw
-    if (pDraw <= 0.0) return None
+    if (pDraw <= 0.0) return nothing
 
-    if (spaceSize <= cfg.fullEnumFactor * cfg.nS) {
+    if (spaceSize <= math.max(1.0, cfg.fullEnumFactor * cfg.nS)) {
       // Small space: enumerate exactly instead of sampling. (A small
       // provenance inside a huge space must still be sampled — enumeration
       // cost is O(spaceSize), not O(provenance).)
-      val full = FullWhyNot.derivations(spark, program, rule, catalog, t).get.cache()
-      val c    = full.count()
-      return Option.when(c > 0)(RuleSample(rule, u, full, c, 0L, c.toDouble, exact = true))
+      val space = DerivationOps.fullSpace(spark, frames)
+      return materialized(DerivationOps.whynotDerivations(space, program, catalog, t, u.rule))
+        .map { case (full, c) => RuleSample(rule, u, full, c, 0L, c.toDouble, exact = true, frames) }
+        .orElse(nothing)
     }
 
     val nOS = OverSampling.minOverSample(cfg.nS, pDraw, cfg.pSuccess, cfg.nOSCap)
 
-    // Q_X + Q_bind: zip the per-variable samples, apply θ_join.
+    // Q_X + Q_bind: zip the per-variable samples.
     val qxs = domains.zipWithIndex.map { case ((v, d, c), i) =>
       sampleWithReplacement(spark, d, c, nOS, cfg.seed + 7919L * (i + 1), v.name)
     }
-    val qbind   = qxs.reduce(_.join(_, "__sid"))
-    val bound   = DerivationOps.applyJoinComparisons(qbind, u.rule).drop("__sid")
-    val missing = DerivationOps.removeExisting(bound, program, catalog, t, u.rule)
-    val annotated = DerivationOps.annotate(missing, u.rule, catalog).distinct()
-    val sample  = takeN(annotated, cfg.nS, cfg.seed).cache()
-    val c       = sample.count()
-    Option.when(c > 0)(RuleSample(rule, u, sample, c, nOS, provEstimate, exact = false))
+    val space     = qxs.reduce(_.join(_, "__sid")).drop("__sid")
+    val annotated = DerivationOps.whynotDerivations(space, program, catalog, t, u.rule).distinct()
+    materialized(takeN(annotated, cfg.nS, cfg.seed))
+      .map { case (sample, c) => RuleSample(rule, u, sample, c, nOS, provEstimate, exact = false, frames) }
+      .orElse(nothing)
   }
 
   /** Why provenance of the unified rule `u`: capture the successful
     * derivations exactly (PUG instrumentation, paper §4) and keep `n_S` of
     * them uniformly.
     */
-  private def why(spark: SparkSession, program: Program, rule: Rule, u: Unify.Unified,
-                  catalog: Catalog, t: PTuple, cfg: Config): Option[RuleSample] = {
-    val all = WhyProv.derivations(spark, program, rule, catalog, t).get.cache()
-    val total = all.count()
-    if (total == 0) return None
-    val exact  = total <= cfg.nS
-    val sample = if (exact) all else takeN(all, cfg.nS, cfg.seed).cache()
-    val c      = if (exact) total else sample.count()
-    Some(RuleSample(rule, u, sample, c, 0L, total.toDouble, exact))
+  private def why(spark: SparkSession, rule: Rule, u: Unify.Unified, catalog: Catalog,
+                  cfg: Config): Option[RuleSample] =
+    materialized(WhyProv.successful(spark, u, catalog)).map { case (all, total) =>
+      if (total <= cfg.nS) RuleSample(rule, u, all, total, 0L, total.toDouble, exact = true)
+      else {
+        val sample = takeN(all, cfg.nS, cfg.seed).cache()
+        val c      = sample.count()
+        // Only now: unpersisting a parent recompiles a dependent cache that
+        // is not yet loaded.
+        all.unpersist()
+        RuleSample(rule, u, sample, c, 0L, total.toDouble, exact = false)
+      }
+    }
+
+  /** `df` cached and counted; None, with the cache released, when empty. */
+  private def materialized(df: DataFrame): Option[(DataFrame, Long)] = {
+    val cached = df.cache()
+    val c      = cached.count()
+    if (c > 0) Some((cached, c)) else { cached.unpersist(); None }
   }
 }

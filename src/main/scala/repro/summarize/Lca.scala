@@ -16,10 +16,11 @@ import org.apache.spark.sql.functions._
 object Lca {
 
   /** Candidate patterns for one rule's sample: same schema as the sample
-    * (variable columns, NULL = placeholder, plus goal columns), distinct.
+    * (variable columns, NULL = placeholder, plus goal columns), distinct. A
+    * ground rule has no variable columns, so its candidates are its
+    * distinct goal vectors.
     */
   def candidates(sample: DataFrame, varCols: Seq[String], goalColNames: Seq[String]): DataFrame = {
-    if (varCols.isEmpty) return sample.distinct() // ground rule: only the empty pattern
     val right = Coverage.renamed(sample, "__r_")
     val cond  = goalColNames.map(g => col(g) === col(s"__r_$g")).reduce(_ && _)
     val proj =

@@ -18,10 +18,7 @@ object Summarizer {
   /** Wall-clock per pipeline stage, in milliseconds — the unit the paper's
     * runtime figures break down by.
     */
-  final case class StageTimes(
-      sampleMs: Long, lcaMs: Long, matchMs: Long, topkMs: Long) {
-    def totalMs: Long = sampleMs + lcaMs + matchMs + topkMs
-  }
+  final case class StageTimes(sampleMs: Long, lcaMs: Long, matchMs: Long, topkMs: Long)
 
   final case class Result(
       question: ProvQuestion,
@@ -108,7 +105,9 @@ object Summarizer {
       }
     }
 
+    // Release every cache but the samples; the rules shared the domains.
     cands.foreach(_._2.unpersist())
+    samples.foreach(_.domains.foreach(_.unpersist()))
     Pool(samples, patterns, StageTimes(sampleMs, lcaMs, matchMs, 0L))
   }
 

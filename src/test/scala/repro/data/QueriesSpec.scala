@@ -112,8 +112,8 @@ class QueriesSpec extends AnyFunSuite {
     assert(Queries.whynotR1.tuple == PTuple("InvalidD", Vector(Const("swanton"))))
     assert(Queries.whyR4.tuple == PTuple("Players", Vector(Const("jack black"))))
     assert(Queries.whynotR9.tuple == PTuple("Hops", Vector(Const("xueni pan"))))
-    assert(Queries.whyR3.tuple.numConstants == 1)    // E = drama, T/N placeholders
-    assert(Queries.whynotR12.tuple.numConstants == 1) // K = spying
+    assert(Queries.whyR3.tuple.constantsAt.size == 1)    // E = drama, T/N placeholders
+    assert(Queries.whynotR12.tuple.constantsAt.size == 1) // K = spying
   }
 
   test("chain/star query builders produce safe rules of the right shape") {

@@ -82,7 +82,6 @@ class AstSpec extends AnyFunSuite {
 
   test("p-tuple constant accounting") {
     val t = PTuple("Q", Vector(Var("N"), Const("shared")))
-    assert(t.numConstants == 1)
     assert(t.constantsAt == Vector((1, "shared")))
     assert(t.arity == 2)
   }

@@ -44,7 +44,7 @@ class UnifyLawsSpec extends AnyFunSuite {
 
   test("number of constants in t equals number of bound variables (distinct heads)") {
     check(Prop.forAll(ptupleGen) { t =>
-      Unify.unify(rule, t).get.bound.size == t.numConstants
+      Unify.unify(rule, t).get.bound.size == t.constantsAt.size
     }, "count")
   }
 

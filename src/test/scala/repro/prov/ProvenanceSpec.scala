@@ -1,6 +1,6 @@
 package repro.prov
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{Datasets, Queries}
@@ -16,6 +16,19 @@ class ProvenanceSpec extends SparkSpec {
   private lazy val airbnb = Datasets.airbnb(spark)
   private val tEx         = PTuple("Qex", Vector(Var("X"), Const(4L)))
   private val tAirbnb     = PTuple("AL", Vector(Var("N"), Const("shared")))
+
+  // Rules over R(A, B) that are fully ground once unified with a p-tuple of
+  // two constants: Qg(A,B) :- R(A,B); Qn(A,B) :- R(A,B), ¬R(B,A);
+  // Qc(A,B) :- R(A,B), A < B.
+  private val ab = Vector(Var("A"), Var("B"))
+  private val qg = Program(Rule("qg", "Qg", ab, Vector(Atom("R", ab))))
+  private val qn = Program(Rule("qn", "Qn", ab,
+    Vector(Atom("R", ab), Atom("R", ab.reverse, negated = true))))
+  private val qc = Program(Rule("qc", "Qc", ab, Vector(Atom("R", ab)),
+    Vector(Comparison(Var("A"), CmpOp.Lt, Var("B")))))
+  private def tuple(pred: String, a: Long, b: Long) = PTuple(pred, Vector(Const(a), Const(b)))
+  private def goalRows(df: DataFrame): Seq[Seq[Boolean]] =
+    df.collect().toSeq.map(r => (0 until r.size).map(r.getBoolean))
 
   // ------------------------------------------------------------ why capture
 
@@ -162,17 +175,31 @@ class ProvenanceSpec extends SparkSpec {
     // Z ranges over adom of R's columns = {1,2,3,4,5,6}; (2,4) is missing →
     // all Z bindings are why-not derivations.
     assert(df.count() == 6)
+    // Fully ground rules: the one empty valuation, annotated. R(1,9) is
+    // absent; R(5,5) exists, so ¬R(5,5) fails.
+    val g = FullWhyNot.derivations(spark, qg, qg.rules.head, rex, tuple("Qg", 1L, 9L)).get
+    assert(g.columns.toSeq == Seq("g0"))
+    assert(goalRows(g) == Seq(Seq(false)))
+    val n = FullWhyNot.derivations(spark, qn, qn.rules.head, rex, tuple("Qn", 5L, 5L)).get
+    assert(goalRows(n) == Seq(Seq(true, false)))
   }
 
   test("ground derivation helper: violated comparison yields empty") {
     val t  = PTuple("Qex", Vector(Const(5L), Const(4L))) // 5 < 4 is false
     assert(FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, t).isEmpty)
+    // The same on a fully ground rule: 5 < 3 is false.
+    assert(FullWhyNot.derivations(spark, qc, qc.rules.head, rex, tuple("Qc", 5L, 3L)).isEmpty)
   }
 
   test("why-not of an existing answer is empty") {
     val t  = PTuple("Qex", Vector(Const(1L), Const(4L))) // (1,4) exists
     val df = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, t).get
     assert(df.isEmpty)
+    // Qg(1,2) exists over a fully ground rule: no why-not derivation, and
+    // its why provenance is the one successful derivation.
+    val g = tuple("Qg", 1L, 2L)
+    assert(FullWhyNot.derivations(spark, qg, qg.rules.head, rex, g).get.isEmpty)
+    assert(goalRows(WhyProv.derivations(spark, qg, qg.rules.head, rex, g).get) == Seq(Seq(true)))
   }
 
   test("varDomain unions the domains of all attributes a variable binds to") {

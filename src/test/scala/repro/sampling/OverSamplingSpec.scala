@@ -5,39 +5,11 @@ import repro.datalog.CmpOp
 
 class OverSamplingSpec extends AnyFunSuite {
 
-  // Brute-force binomial tail for cross-checking the log-space version.
+  // Brute-force binomial tail for cross-checking the library tail.
   private def bruteTail(n: Int, k: Int, p: Double): Double = {
     def choose(n: Int, r: Int): Double =
       (1 to r).map(i => (n - r + i).toDouble / i).product
     (k to n).map(i => choose(n, i) * math.pow(p, i) * math.pow(1 - p, n - i)).sum
-  }
-
-  test("logGamma matches factorials") {
-    for (n <- 1 to 15) {
-      val fact = (1 to n).map(_.toDouble).product
-      assert(math.abs(OverSampling.logGamma(n + 1.0) - math.log(fact)) < 1e-9, s"n=$n")
-    }
-  }
-
-  test("logGamma reflection handles small arguments") {
-    // Γ(0.5) = sqrt(π)
-    assert(math.abs(OverSampling.logGamma(0.5) - 0.5 * math.log(math.Pi)) < 1e-9)
-  }
-
-  test("logChoose matches Pascal's triangle") {
-    assert(math.abs(math.exp(OverSampling.logChoose(10, 3)) - 120.0) < 1e-6)
-    assert(math.abs(math.exp(OverSampling.logChoose(52, 5)) - 2598960.0) < 1e-3)
-    assert(OverSampling.logChoose(7, 0) == 0.0)
-  }
-
-  test("phi is a CDF: monotone, symmetric, correct tails") {
-    assert(math.abs(OverSampling.phi(0.0) - 0.5) < 1e-7)
-    assert(OverSampling.phi(-8) < 1e-9)
-    assert(OverSampling.phi(8) > 1 - 1e-9)
-    assert(math.abs(OverSampling.phi(1.96) - 0.975) < 1e-3)
-    val xs = (-40 to 40).map(_ / 10.0)
-    assert(xs.map(OverSampling.phi) == xs.map(OverSampling.phi).sorted)
-    xs.foreach(x => assert(math.abs(OverSampling.phi(x) + OverSampling.phi(-x) - 1.0) < 1e-7))
   }
 
   test("exact tail matches brute force for small n") {
@@ -57,15 +29,6 @@ class OverSamplingSpec extends AnyFunSuite {
     assert(OverSampling.tailAtLeast(10, 11, 0.3) == 0.0)
     assert(OverSampling.tailAtLeast(10, 5, 0.0) == 0.0)
     assert(OverSampling.tailAtLeast(10, 5, 1.0) == 1.0)
-  }
-
-  test("normal approximation agrees with exact tail at the crossover") {
-    // Same (nS, p) evaluated just below and above ExactLimit should agree.
-    val p  = 0.8
-    val nS = 79000L
-    val exact  = OverSampling.tailAtLeast(100000L, nS, p)
-    val approx = OverSampling.tailAtLeast(100001L, nS, p)
-    assert(math.abs(exact - approx) < 5e-3, s"$exact vs $approx")
   }
 
   test("minOverSample satisfies the probabilistic guarantee") {

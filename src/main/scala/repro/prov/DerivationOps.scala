@@ -46,19 +46,19 @@ object DerivationOps {
     domains.reduceOption(_.crossJoin(_)).getOrElse(spark.range(1).drop("id"))
 
   /** The why-not derivations of `unified` in a derivation space (one column
-    * per unbound variable): `θ_join`, then `Q_der`, then goal annotation
-    * (paper §5.2). FULL feeds it [[fullSpace]], the batch sampler its
-    * zipped draws.
+    * per unbound variable): `θ_join`, then `Q_der` against `answers`
+    * (σ_t(Q), [[DatalogEval.restrictedAnswers]]), then goal annotation
+    * (paper §5.2). FULL feeds it [[fullSpace]], the batch sampler its `Q_X`
+    * draws.
     */
   def whynotDerivations(
       space: DataFrame,
-      program: Program,
+      answers: DataFrame,
       catalog: Catalog,
-      t: PTuple,
       unified: Rule,
   ): DataFrame = {
     val bound = applyJoinComparisons(space, unified)
-    annotate(removeExisting(bound, program, catalog, t, unified), unified, catalog)
+    annotate(removeExisting(bound, answers, unified), unified, catalog)
   }
 
   /** Apply variable–variable comparisons (`θ_join`, paper §5.2) and any
@@ -96,17 +96,10 @@ object DerivationOps {
   }
 
   /** `Q_der` (paper §5.2 step 2): drop derivations whose head is an existing
-    * answer, by anti-joining against σ_t(Q) on the head variables that the
-    * p-tuple left unbound.
+    * answer, by anti-joining against `answers` (σ_t(Q), columns `c0..`) on
+    * the head variables that the p-tuple left unbound.
     */
-  def removeExisting(
-      bind: DataFrame,
-      program: Program,
-      catalog: Catalog,
-      t: PTuple,
-      unified: Rule,
-  ): DataFrame = {
-    val answers = DatalogEval.restrictedAnswers(program, catalog, t)
+  def removeExisting(bind: DataFrame, answers: DataFrame, unified: Rule): DataFrame = {
     val headVarPos = unified.headArgs.zipWithIndex.collect { case (v: Var, i) => (v, i) }
     if (headVarPos.isEmpty) {
       // Fully ground head: it either exists (all derivations removed) or not.

@@ -67,6 +67,6 @@ object FullWhyNot {
       .map { u =>
         val domains = u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
         DerivationOps.whynotDerivations(DerivationOps.fullSpace(spark, domains),
-          program, catalog, t, u.rule)
+          DatalogEval.restrictedAnswers(program, catalog, t), catalog, u.rule)
       }
 }

@@ -10,14 +10,16 @@ import repro.prov.{DerivationOps, WhyProv}
   *
   * The sampling pipeline is compiled entirely into a Catalyst plan:
   *
-  *  - `Q_X`  — per unbound variable, `n_OS` values drawn uniformly with
-  *    replacement from the variable's domain, keyed by a zip id (the
-  *    paper's `#_id(SAMPLE_nOS(σ_θX(D_A1 ∪ …)))`). The SAMPLE operator is
-  *    realized as an equi-join between `range(n_OS)` with a deterministic
-  *    hash index and the `row_number`-indexed domain, so it stays a pure
-  *    relational plan and is reproducible from the seed.
-  *  - `Q_bind` — natural join of the `Q_X` on the zip id + `θ_join`.
-  *  - `Q_der`  — anti-join against σ_t(Q).
+  *  - `Q_X`  — `n_OS` valuations drawn uniformly with replacement from the
+  *    unbound variables' domains (the paper's
+  *    `#_id(SAMPLE_nOS(σ_θX(D_A1 ∪ …)))`, one per variable, zipped on
+  *    `#_id`). All draws come from one `range(n_OS)`: each variable's
+  *    deterministic hash index is a column of it, equi-joined to the
+  *    `row_number`-indexed domain, so the zip needs no join and the plan
+  *    stays relational and reproducible from the seed ([[draw]]).
+  *  - `Q_bind` — `θ_join` over the draws.
+  *  - `Q_der`  — anti-join against σ_t(Q), cached once per question: the
+  *    rules of a union share it, as they share the variable domains.
   *  - `Q_sample` — outer-join goal annotation + δ.
   *
   * `Q_bind`'s θ_join, `Q_der` and the annotation are
@@ -52,10 +54,11 @@ object BatchSampler {
     *                     union when merging their patterns (paper §5.2
     *                     "Queries With Multiple Rules")
     * @param exact        true when the sample IS the full provenance
-    * @param domains      the cached variable domains a why-not sample was
-    *                     drawn from; still persisted, because the rules of a
-    *                     union share them ([[repro.summarize.Summarizer.pool]]
-    *                     releases them once every rule is sampled)
+    * @param shared       the caches a why-not sample was drawn with: the
+    *                     variable domains and σ_t(Q); still persisted,
+    *                     because the rules of a union share them
+    *                     ([[repro.summarize.Summarizer.pool]] releases them
+    *                     once every rule is sampled)
     */
   final case class RuleSample(
       rule: Rule,
@@ -65,7 +68,7 @@ object BatchSampler {
       nOS: Long,
       provEstimate: Double,
       exact: Boolean,
-      domains: Seq[DataFrame] = Nil,
+      shared: Seq[DataFrame] = Nil,
   ) {
     /** The unbound-variable columns, in pattern-argument order. */
     val varCols: Seq[String] = unified.unboundVars.map(_.name)
@@ -73,29 +76,21 @@ object BatchSampler {
     val goalColNames: Seq[String] = DerivationOps.goalCols(unified.rule.atoms.size)
   }
 
-  /** `#_id(SAMPLE_n(dom))`: n values drawn with replacement, zip-keyed by
-    * `__sid`. Deterministic in `seed`.
+  /** `Q_X`: `n` valuations drawn uniformly with replacement, one column per
+    * domain. Each domain is a single column named after its variable, given
+    * with its size. Draw `id` of `range(n)` takes, from domain `i`, the value
+    * at `row_number` `pmod(xxhash64(id, seed + 7919·(i+1)), |D_i|) + 1`.
+    * Deterministic in `seed`.
     */
-  def sampleWithReplacement(
-      spark: SparkSession,
-      dom: DataFrame,
-      domCount: Long,
-      n: Long,
-      seed: Long,
-      asName: String,
-  ): DataFrame = {
-    require(domCount > 0, s"empty domain for $asName")
-    val indexed = dom
-      .withColumn("__rid", row_number().over(Window.orderBy(dom.columns.head)))
-    val picks = spark
-      .range(n)
-      .select(
-        col("id").as("__sid"),
-        (pmod(xxhash64(col("id"), lit(seed)), lit(domCount)) + 1).as("__rid"),
-      )
-    picks
-      .join(indexed, "__rid")
-      .select(col("__sid"), col(dom.columns.head).as(asName))
+  def draw(spark: SparkSession, domains: Seq[(DataFrame, Long)], n: Long, seed: Long): DataFrame = {
+    val vars = domains.map(_._1.columns.head)
+    val picks = spark.range(n).select(domains.zipWithIndex.map { case ((_, size), i) =>
+      require(size > 0, s"empty domain for ${vars(i)}")
+      (pmod(xxhash64(col("id"), lit(seed + 7919L * (i + 1))), lit(size)) + 1).as(s"__x$i")
+    }: _*)
+    domains.zipWithIndex.foldLeft(picks) { case (df, ((d, _), i)) =>
+      df.join(d.withColumn(s"__x$i", row_number().over(Window.orderBy(vars(i)))), s"__x$i")
+    }.select(vars.map(col): _*)
   }
 
   /** Deterministically keep at most `n` rows of an annotated-derivation
@@ -111,7 +106,7 @@ object BatchSampler {
     * p-tuple and checks its ground comparisons once, then captures why
     * provenance exactly or samples why-not provenance (FULL or
     * batch-sampled). Every cache it creates is released, apart from the
-    * returned sample and its `domains`. Returns None whenever the rule
+    * returned sample and its `shared` caches. Returns None whenever the rule
     * contributes no derivations: head clash, violated ground comparison,
     * empty domain, no missing answers, or an empty result.
     */
@@ -144,30 +139,29 @@ object BatchSampler {
 
   /** Why-not provenance of the unified rule `u`: [[DerivationOps.whynotDerivations]]
     * over the full space when it is small (a ground rule's one valuation
-    * included), else over the batch sample of §5.2. The variable domains
-    * stay cached in the returned sample's `domains`, since the rules of a
-    * union share them.
+    * included), else over the batch sample of §5.2. The variable domains and
+    * σ_t(Q) stay cached in the returned sample's `shared`, since the rules of
+    * a union share them.
     */
   private def whynot(spark: SparkSession, program: Program, rule: Rule, u: Unify.Unified,
                      catalog: Catalog, t: PTuple, cfg: Config): Option[RuleSample] = {
+    val frames  = u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog).cache())
+    val answers = DatalogEval.restrictedAnswers(program, catalog, t).cache()
+    val shared  = frames :+ answers
+    // No derivations: nothing downstream needs the shared caches.
+    def nothing: Option[RuleSample] = { shared.foreach(_.unpersist()); None }
     // Domain sizes drive |A(Q,D,t)| and the over-sampling size.
-    val domains = u.unboundVars.map { v =>
-      val d = DerivationOps.varDomain(u.rule, v, catalog).cache()
-      (v, d, d.count())
-    }
-    val frames = domains.map(_._2)
-    // No derivations: nothing downstream needs the domains.
-    def nothing: Option[RuleSample] = { frames.foreach(_.unpersist()); None }
-    if (domains.exists(_._3 == 0L)) return nothing
-    val domSize  = domains.map { case (v, _, c) => v -> c }.toMap
-    val spaceSize = domains.map(_._3.toDouble).product
+    val sizes = domainSizes(frames)
+    if (sizes.contains(0L)) return nothing
+    val domSize   = u.unboundVars.zip(sizes).toMap
+    val spaceSize = sizes.map(_.toDouble).product
 
     // p_notProv: fraction of the space deriving an existing answer matching t
     // (paper §5.3). #derivations per existing answer = Π over existential
     // unbound vars of |D_X|, so p_notProv = nExisting / Π over head-unbound
     // vars of |D_X|.
     val headUnbound = u.rule.headArgs.collect { case v: Var => v }.distinct
-    val nExisting   = DatalogEval.restrictedAnswers(program, catalog, t).count()
+    val nExisting   = answers.count()
     val headSpace   = headUnbound.map(v => domSize(v).toDouble).product
     val pNotProv =
       if (headUnbound.isEmpty) { if (nExisting > 0) 1.0 else 0.0 }
@@ -188,23 +182,29 @@ object BatchSampler {
       // provenance inside a huge space must still be sampled — enumeration
       // cost is O(spaceSize), not O(provenance).)
       val space = DerivationOps.fullSpace(spark, frames)
-      return materialized(DerivationOps.whynotDerivations(space, program, catalog, t, u.rule))
-        .map { case (full, c) => RuleSample(rule, u, full, c, 0L, c.toDouble, exact = true, frames) }
+      return materialized(DerivationOps.whynotDerivations(space, answers, catalog, u.rule))
+        .map { case (full, c) => RuleSample(rule, u, full, c, 0L, c.toDouble, exact = true, shared) }
         .orElse(nothing)
     }
 
-    val nOS = OverSampling.minOverSample(cfg.nS, pDraw, cfg.pSuccess, cfg.nOSCap)
-
-    // Q_X + Q_bind: zip the per-variable samples.
-    val qxs = domains.zipWithIndex.map { case ((v, d, c), i) =>
-      sampleWithReplacement(spark, d, c, nOS, cfg.seed + 7919L * (i + 1), v.name)
-    }
-    val space     = qxs.reduce(_.join(_, "__sid")).drop("__sid")
-    val annotated = DerivationOps.whynotDerivations(space, program, catalog, t, u.rule).distinct()
+    val nOS       = OverSampling.minOverSample(cfg.nS, pDraw, cfg.pSuccess, cfg.nOSCap)
+    val space     = draw(spark, frames.zip(sizes), nOS, cfg.seed)
+    val annotated = DerivationOps.whynotDerivations(space, answers, catalog, u.rule).distinct()
     materialized(takeN(annotated, cfg.nS, cfg.seed))
-      .map { case (sample, c) => RuleSample(rule, u, sample, c, nOS, provEstimate, exact = false, frames) }
+      .map { case (sample, c) => RuleSample(rule, u, sample, c, nOS, provEstimate, exact = false, shared) }
       .orElse(nothing)
   }
+
+  /** The row count of every domain, from one Spark job: the union of
+    * per-domain counts, each tagged with its domain's index.
+    */
+  private def domainSizes(domains: Seq[DataFrame]): Seq[Long] =
+    if (domains.isEmpty) Nil
+    else {
+      val counts  = domains.zipWithIndex.map { case (d, i) => d.select(lit(i), count(lit(1))) }
+      val byIndex = counts.reduce(_.union(_)).collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+      domains.indices.map(byIndex)
+    }
 
   /** Why provenance of the unified rule `u`: capture the successful
     * derivations exactly (PUG instrumentation, paper §4) and keep `n_S` of

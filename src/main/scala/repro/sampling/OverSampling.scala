@@ -25,7 +25,7 @@ object OverSampling {
     * success probability is so small that the exact size would be
     * impractical). A capped draw shows as `RuleSample.nOS == cfg.nOSCap`.
     */
-  def minOverSample(nS: Long, p: Double, pSuccess: Double, cap: Long = 10_000_000L): Long = {
+  def minOverSample(nS: Long, p: Double, pSuccess: Double, cap: Long): Long = {
     require(nS >= 1, s"nS=$nS")
     require(pSuccess > 0 && pSuccess < 1, s"pSuccess=$pSuccess")
     if (p <= 0.0) return cap

@@ -105,9 +105,10 @@ object Summarizer {
       }
     }
 
-    // Release every cache but the samples; the rules shared the domains.
+    // Release every cache but the samples; the rules shared the domains and
+    // σ_t(Q).
     cands.foreach(_._2.unpersist())
-    samples.foreach(_.domains.foreach(_.unpersist()))
+    samples.foreach(_.shared.foreach(_.unpersist()))
     Pool(samples, patterns, StageTimes(sampleMs, lcaMs, matchMs, 0L))
   }
 

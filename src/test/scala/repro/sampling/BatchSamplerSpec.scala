@@ -1,10 +1,12 @@
 package repro.sampling
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
-import repro.prov.FullWhyNot
+import repro.prov.{DerivationOps, FullWhyNot}
 
 class BatchSamplerSpec extends SparkSpec {
 
@@ -14,38 +16,69 @@ class BatchSamplerSpec extends SparkSpec {
   private val tAirbnb     = PTuple("AL", Vector(Var("N"), Const("shared")))
   private val cfg         = BatchSampler.Config(nS = 50, seed = 7L)
 
-  test("sampleWithReplacement draws exactly n values from the domain") {
+  private def domains(sizes: Seq[Int]) = {
     import spark.implicits._
-    val dom = Seq(10L, 20L, 30L).toDF("v")
-    val s   = BatchSampler.sampleWithReplacement(spark, dom, 3, 100, 1L, "X")
-    assert(s.count() == 100)
-    val values = s.select("X").collect().map(_.getLong(0)).toSet
-    assert(values.subsetOf(Set(10L, 20L, 30L)))
-    // With 100 draws over 3 values, all values appear w.h.p. (deterministic seed).
-    assert(values == Set(10L, 20L, 30L))
-    // Zip ids are 0..n-1, each exactly once.
-    val ids = s.select("__sid").collect().map(_.getLong(0)).sorted
-    assert(ids.toSeq == (0L until 100L))
+    sizes.zipWithIndex.map { case (n, i) => ((1L to n).map(_ * 10 + i).toDF(s"V$i"), n.toLong) }
   }
 
-  test("sampleWithReplacement is deterministic in the seed") {
-    import spark.implicits._
-    val dom = Seq(1L, 2L, 3L, 4L).toDF("v")
-    def draw(seed: Long) = BatchSampler
-      .sampleWithReplacement(spark, dom, 4, 50, seed, "X")
-      .orderBy("__sid").collect().map(_.getLong(1)).toSeq
-    assert(draw(5L) == draw(5L))
-    assert(draw(5L) != draw(6L))
+  /** The rows of `df` as a sorted multiset of tuples. */
+  private def multiset(df: DataFrame): Seq[String] = df.collect().map(_.mkString("|")).toSeq.sorted
+
+  test("draw takes exactly n valuations, each column from its domain") {
+    val doms = domains(Seq(3, 5, 2))
+    val s    = BatchSampler.draw(spark, doms, 100, 1L)
+    assert(s.columns.toSeq == Seq("V0", "V1", "V2"))
+    val rows = s.collect()
+    assert(rows.length == 100)
+    doms.zipWithIndex.foreach { case ((d, _), i) =>
+      val dom = d.collect().map(_.getLong(0)).toSet
+      // With 100 draws over ≤ 5 values, all values appear (deterministic seed).
+      assert(rows.map(_.getLong(i)).toSet == dom)
+    }
   }
 
-  test("sampleWithReplacement is roughly uniform") {
-    import spark.implicits._
-    val dom = (1L to 10L).toDF("v")
-    val s = BatchSampler.sampleWithReplacement(spark, dom, 10, 10000, 3L, "X")
-    val counts = s.groupBy("X").count().collect().map(_.getLong(1))
-    assert(counts.length == 10)
-    // Expected 1000 per value; allow ±20%.
-    counts.foreach(c => assert(c > 800 && c < 1200, s"count $c"))
+  test("draw is deterministic in the seed") {
+    val doms = domains(Seq(4, 3))
+    def drawn(seed: Long) = multiset(BatchSampler.draw(spark, doms, 50, seed))
+    assert(drawn(5L) == drawn(5L))
+    assert(drawn(5L) != drawn(6L))
+  }
+
+  test("draw is roughly uniform in every column") {
+    val doms = domains(Seq(10, 4))
+    val s    = BatchSampler.draw(spark, doms, 10000, 3L)
+    doms.foreach { case (d, size) =>
+      val v      = d.columns.head
+      val counts = s.groupBy(v).count().collect().map(_.getLong(1))
+      assert(counts.length == size)
+      // Expected 10000/size per value; allow ±20%.
+      val expected = 10000.0 / size
+      counts.foreach(c => assert(c > 0.8 * expected && c < 1.2 * expected, s"$v count $c"))
+    }
+  }
+
+  test("draw equals the per-variable zip as a multiset of tuples") {
+    for (seed <- Seq(1L, 7L)) {
+      val doms = domains(Seq(3, 7, 2, 11))
+      assert(multiset(BatchSampler.draw(spark, doms, 500, seed)) ==
+        multiset(BatchSamplerSpec.zipDraw(spark, doms, 500, seed)))
+    }
+  }
+
+  test("forced sampling returns exactly the rows of the per-variable zip pipeline") {
+    // fullEnumFactor=0 disables the exact-enumeration shortcut, so every
+    // rule below is batch-sampled.
+    val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
+    val movies = Datasets.movies(spark, 100)
+    val cases =
+      Queries.r4.rules.map(r => (Queries.r4, r, movies, PTuple("Players", Vector(Const("tom ford"))))) :+
+        ((Queries.airbnb, Queries.airbnb.rules.head, airbnb, tAirbnb))
+    for ((program, rule, cat, t) <- cases) {
+      val s = BatchSampler.whynotSample(spark, program, rule, cat, t, forced).get
+      assert(!s.exact, rule.name)
+      val ref = BatchSamplerSpec.zipSample(spark, program, rule, cat, t, s.nOS, forced)
+      assert(multiset(s.sample) == multiset(ref), rule.name)
+    }
   }
 
   test("whynot sample on a tiny space returns the full provenance (exact)") {
@@ -170,5 +203,40 @@ class BatchSamplerSpec extends SparkSpec {
       BatchSampler.whynotSample(spark, Queries.r4, r, cat, t, cfg.copy(nS = 20)))
     assert(samples.size == 3)
     samples.foreach(s => assert(s.sampleCount > 0))
+  }
+}
+
+object BatchSamplerSpec {
+
+  /** `Q_X` as one `range(n)` per variable, joined to the `row_number`-indexed
+    * domain and zipped on the draw id `__sid` — the paper's literal
+    * `#_id(SAMPLE_n(…))` per variable, kept as the reference that
+    * [[BatchSampler.draw]] must equal as a multiset of tuples.
+    */
+  def zipDraw(spark: SparkSession, domains: Seq[(DataFrame, Long)], n: Long, seed: Long): DataFrame =
+    domains.zipWithIndex.map { case ((dom, size), i) =>
+      val v       = dom.columns.head
+      val indexed = dom.withColumn("__rid", row_number().over(Window.orderBy(v)))
+      spark.range(n)
+        .select(col("id").as("__sid"),
+          (pmod(xxhash64(col("id"), lit(seed + 7919L * (i + 1))), lit(size)) + 1).as("__rid"))
+        .join(indexed, "__rid")
+        .select(col("__sid"), col(v))
+    }.reduce(_.join(_, "__sid")).drop("__sid")
+
+  /** The batch-sampled why-not rows of `rule` from [[zipDraw]]: `nOS` zipped
+    * draws, then [[DerivationOps.whynotDerivations]], δ and `takeN`.
+    */
+  def zipSample(spark: SparkSession, program: Program, rule: Rule, catalog: Catalog, t: PTuple,
+                nOS: Long, cfg: BatchSampler.Config): DataFrame = {
+    val u       = Unify.unify(rule, t).get
+    val domains = u.unboundVars.map { v =>
+      val d = DerivationOps.varDomain(u.rule, v, catalog)
+      (d, d.count())
+    }
+    val answers = DatalogEval.restrictedAnswers(program, catalog, t)
+    val derivations =
+      DerivationOps.whynotDerivations(zipDraw(spark, domains, nOS, cfg.seed), answers, catalog, u.rule)
+    BatchSampler.takeN(derivations.distinct(), cfg.nS, cfg.seed)
   }
 }

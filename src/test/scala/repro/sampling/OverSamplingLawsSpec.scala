@@ -12,6 +12,7 @@ class OverSamplingLawsSpec extends AnyFunSuite {
   }
 
   private val pGen = Gen.choose(0.05, 0.99)
+  private val cap  = BatchSampler.Config().nOSCap
 
   test("tail is a probability") {
     check(Prop.forAll(Gen.choose(1L, 500L), Gen.choose(1L, 100L), pGen) { (n, k, p) =>
@@ -59,8 +60,8 @@ class OverSamplingLawsSpec extends AnyFunSuite {
 
   test("minOverSample is at least nS and decreasing in p") {
     check(Prop.forAll(Gen.choose(1L, 100L), pGen) { (nS, p) =>
-      val a = OverSampling.minOverSample(nS, p, 0.99)
-      val b = OverSampling.minOverSample(nS, math.min(0.999, p + 0.1), 0.99)
+      val a = OverSampling.minOverSample(nS, p, 0.99, cap)
+      val b = OverSampling.minOverSample(nS, math.min(0.999, p + 0.1), 0.99, cap)
       a >= nS && b <= a
     }, "monotone")
   }

@@ -5,6 +5,8 @@ import repro.datalog.CmpOp
 
 class OverSamplingSpec extends AnyFunSuite {
 
+  private val cap = BatchSampler.Config().nOSCap
+
   // Brute-force binomial tail for cross-checking the library tail.
   private def bruteTail(n: Int, k: Int, p: Double): Double = {
     def choose(n: Int, r: Int): Double =
@@ -36,7 +38,7 @@ class OverSamplingSpec extends AnyFunSuite {
       nS <- Seq(10L, 100L, 1000L)
       p  <- Seq(0.3, 0.7, 0.99)
     } {
-      val nOS = OverSampling.minOverSample(nS, p, 0.999)
+      val nOS = OverSampling.minOverSample(nS, p, 0.999, cap)
       assert(OverSampling.tailAtLeast(nOS, nS, p) >= 0.999, s"nS=$nS p=$p nOS=$nOS")
       // Minimality: one fewer draw misses the guarantee.
       if (nOS > nS)
@@ -45,13 +47,13 @@ class OverSamplingSpec extends AnyFunSuite {
   }
 
   test("minOverSample is monotone in the success probability demanded") {
-    val lo = OverSampling.minOverSample(100, 0.5, 0.9)
-    val hi = OverSampling.minOverSample(100, 0.5, 0.9999)
+    val lo = OverSampling.minOverSample(100, 0.5, 0.9, cap)
+    val hi = OverSampling.minOverSample(100, 0.5, 0.9999, cap)
     assert(lo <= hi)
   }
 
   test("minOverSample degenerate cases") {
-    assert(OverSampling.minOverSample(100, 1.0, 0.999) == 100L)
+    assert(OverSampling.minOverSample(100, 1.0, 0.999, cap) == 100L)
     assert(OverSampling.minOverSample(100, 0.0, 0.999, cap = 5000L) == 5000L)
     // Tiny p hits the cap rather than looping forever.
     assert(OverSampling.minOverSample(1000, 1e-9, 0.999, cap = 10000L) == 10000L)
@@ -59,7 +61,7 @@ class OverSamplingSpec extends AnyFunSuite {
 
   test("paper example shape: p≈1 needs barely more than nS draws") {
     // Why-not provenance vastly outweighs answers → p_prov ≈ 1 → n_OS ≈ n_S.
-    val nOS = OverSampling.minOverSample(1000, 0.999, 0.999)
+    val nOS = OverSampling.minOverSample(1000, 0.999, 0.999, cap)
     assert(nOS >= 1000 && nOS < 1100, s"nOS=$nOS")
   }
 

@@ -78,9 +78,12 @@ class SummarizerSpec extends SparkSpec {
         (groundQg, ProvQuestion(tuple("Qg", 1L, 2L), Whynot)),
         (groundQg, ProvQuestion(tuple("Qg", 1L, 9L), Why)),
         (groundQc, ProvQuestion(tuple("Qc", 5L, 3L), Whynot)))) {
+      val persisted = spark.sparkContext.getPersistentRDDs.keySet
       val res = Summarizer.summarize(spark, program, rex, pq, Summarizer.Config(nS = 10, k = 3))
       assert(res.summary.patterns.isEmpty, pq)
       assert(res.allPatterns.isEmpty, pq)
+      // A rule that contributes nothing releases every cache it created.
+      assert((spark.sparkContext.getPersistentRDDs.keySet -- persisted).isEmpty, pq)
     }
   }
 

@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 import repro.datalog.{Catalog, Program, ProvQuestion}
-import repro.summarize.{Coverage, Pattern, Summarizer}
+import repro.summarize.{CatalystReference, Pattern, Summarizer}
 import scala.jdk.CollectionConverters._
 
 /** Shared helpers for the per-figure benchmark suites: aligned table
@@ -30,11 +30,12 @@ object Bench {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** Run `body` with a wall-clock budget, cancelling its Spark jobs on
-    * expiry — mirrors the paper's 30-minute experiment timeout (we use a
-    * smaller one; timed-out cells are reported as such, like the omitted
-    * FULL why-not bars in Fig 6). None means the budget ran out; an
-    * exception thrown by `body` is rethrown on the caller's thread.
+  /** Run `body` with a wall-clock budget, cancelling its Spark jobs and
+    * interrupting its thread on expiry — mirrors the paper's 30-minute
+    * experiment timeout (we use a smaller one; timed-out cells are reported
+    * as such, like the omitted FULL why-not bars in Fig 6). None means the
+    * budget ran out; an exception thrown by `body` is rethrown on the
+    * caller's thread.
     */
   def withTimeout[A](spark: SparkSession, seconds: Int)(body: => A): Option[A] = {
     val group  = s"bench-timeout-${System.nanoTime()}"
@@ -50,6 +51,7 @@ object Bench {
     worker.join(seconds * 1000L)
     if (worker.isAlive) {
       spark.sparkContext.cancelJobGroup(group)
+      worker.interrupt()
       worker.join(30000L)
       None
     } else outcome.fold(e => throw e, Some(_))
@@ -89,8 +91,8 @@ object Bench {
     if (total == 0 || patterns.isEmpty) return 0.0
     val nullable = StructType(full.schema.fields.map(_.copy(nullable = true)))
     val pdf  = patternsToDf(spark, patterns, nullable)
-    val covered = Coverage.renamed(full, "__s_")
-      .join(pdf, Coverage.matchCondition(varCols, goalColNames, "__s_"), "left_semi")
+    val covered = CatalystReference.renamed(full, "__s_")
+      .join(pdf, CatalystReference.matchCondition(varCols, goalColNames, "__s_"), "left_semi")
       .distinct().count()
     covered.toDouble / total
   }

@@ -1,50 +1,102 @@
 package repro.summarize
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{LongType, StructField}
+import scala.jdk.CollectionConverters._
 
-/** Completeness estimation (paper §7): the paper's `Q_match` joins the LCA
-  * candidates with the sample on a placeholder-tolerant condition
-  * (`X = X ∨ isnull(X)` per variable, goal annotations equal) and counts
-  * matches per pattern. The goal-annotation equalities are equi-join keys,
-  * so the O(n_S²·n_S) worst case is sharded across goal-vector groups.
+/** Completeness estimation (paper §7): a pattern's match count over the
+  * rule's sample, under the placeholder-tolerant condition of `Q_match`
+  * (goal annotations equal, `X IS NULL ∨ X = S.X` per variable).
+  *
+  * The paper's `Q_match` is a theta join plus a group-count in the DBMS.
+  * Here each goal-vector group of the collected sample holds one bitset
+  * over its rows per (column, code); a candidate's match count is the
+  * popcount of the AND of the bitsets of its constants.
   */
 object Coverage {
 
-  /** `df` with every column name prefixed, so both sides of a self-join
-    * stay apart.
+  /** Match counts over one goal-vector group. NULL has no bitset, so a
+    * constant never matches it.
     */
-  def renamed(df: DataFrame, prefix: String): DataFrame =
-    df.toDF(df.columns.map(prefix + _).toIndexedSeq: _*)
+  final class Matcher(val group: GoalGroup) {
+    private val words = (group.size + 63) >>> 6
+    private val bits: Array[Array[Array[Long]]] = Array.tabulate(group.width) { p =>
+      val bs = Array.fill(group.distinct(p))(new Array[Long](words))
+      var r = 0
+      while (r < group.size) {
+        val c = group.rows(r)(p)
+        if (c != GoalGroup.Null) bs(c)(r >>> 6) |= 1L << (r & 63)
+        r += 1
+      }
+      bs
+    }
 
-  /** The placeholder-tolerant match condition between a pattern row
-    * (unprefixed columns) and a derivation row (columns prefixed by
-    * `prefix`): goal annotations equal and `X = S.X ∨ X IS NULL` per
-    * variable.
-    */
-  def matchCondition(varCols: Seq[String], goalColNames: Seq[String], prefix: String): Column = {
-    val goalEq = goalColNames.map(g => col(g) === col(s"$prefix$g"))
-    val varOk  = varCols.map(v => col(v).isNull || col(v) === col(s"$prefix$v"))
-    (goalEq ++ varOk).reduce(_ && _)
+    /** The number of the group's rows that candidate codes `c` match. A
+      * candidate without constants matches every row.
+      */
+    def count(c: Array[Int]): Int = {
+      val consts = c.indices.collect { case p if c(p) != GoalGroup.Null => bits(p)(c(p)) }.toArray
+      if (consts.isEmpty) return group.size
+      var n = 0
+      var k = 0
+      while (k < words) {
+        var w = consts(0)(k)
+        var m = 1
+        while (m < consts.length && w != 0L) { w &= consts(m)(k); m += 1 }
+        n += java.lang.Long.bitCount(w)
+        k += 1
+      }
+      n
+    }
   }
 
-  /** Match counts: the candidate columns plus `__matches`. Candidates always
-    * have ≥1 match (their LCA generators are in the sample), so an inner
-    * join loses nothing.
-    */
-  def matchCounts(candidates: DataFrame, sample: DataFrame,
-                  varCols: Seq[String], goalColNames: Seq[String]): DataFrame = {
-    candidates
-      .join(renamed(sample, "__s_"), matchCondition(varCols, goalColNames, "__s_"), "inner")
-      .groupBy((varCols ++ goalColNames).map(col): _*)
-      .agg(count(lit(1)).as("__matches"))
-  }
-
-  /** Collect match-counted candidates into client-side [[Pattern]]s.
+  /** The patterns of one rule from its LCA candidates per goal-vector
+    * group.
     *
     * @param provWeight this rule's estimated share of |Prov(Φ)| — patterns
     *                   of a union's rules are weighted by it so their cp
     *                   values are comparable (paper §5.2, multiple rules)
+    * @param sampleCount the rule's sample size (cp denominator)
+    */
+  def patterns(
+      ruleName: String,
+      candidates: Seq[(GoalGroup, Seq[Array[Int]])],
+      sampleCount: Long,
+      provWeight: Double,
+  ): Vector[Pattern] = {
+    require(sampleCount > 0, "empty sample")
+    candidates.toVector.flatMap { case (g, cands) =>
+      val m = new Matcher(g)
+      cands.map(c =>
+        Pattern(ruleName, g.decode(c), g.goals, provWeight * m.count(c).toDouble / sampleCount))
+    }
+  }
+
+  /** Match counts as a DataFrame: the distinct candidate rows with at least
+    * one match, plus `__matches`.
+    */
+  def matchCounts(candidates: DataFrame, sample: DataFrame,
+                  varCols: Seq[String], goalColNames: Seq[String]): DataFrame = {
+    val nv = varCols.size
+    val matchers =
+      GoalGroup.collect(sample, varCols, goalColNames).map(g => g.goals -> new Matcher(g)).toMap
+    val cands = candidates.select((varCols ++ goalColNames).map(col): _*)
+    val rows = cands.collect().distinct.toVector.flatMap { r =>
+      val goals = Vector.tabulate(goalColNames.size)(j => r.getBoolean(nv + j))
+      for {
+        m <- matchers.get(goals)
+        c <- m.group.encode(Vector.tabulate(nv)(i => Option(r.get(i))))
+        n = m.count(c) if n > 0
+      } yield Row.fromSeq(r.toSeq :+ n.toLong)
+    }
+    val schema = cands.schema.add(StructField("__matches", LongType, nullable = false))
+    sample.sparkSession.createDataFrame(rows.asJava, schema)
+  }
+
+  /** Collect match-counted candidates into client-side [[Pattern]]s.
+    *
+    * @param provWeight this rule's estimated share of |Prov(Φ)|
     * @param sampleCount the rule's sample size (cp denominator)
     */
   def collectPatterns(

@@ -16,7 +16,8 @@ import repro.sampling.BatchSampler
 object Summarizer {
 
   /** Wall-clock per pipeline stage, in milliseconds — the unit the paper's
-    * runtime figures break down by.
+    * runtime figures break down by. `lcaMs` covers collecting the samples
+    * and generating the candidates, `matchMs` counting their matches.
     */
   final case class StageTimes(sampleMs: Long, lcaMs: Long, matchMs: Long, topkMs: Long)
 
@@ -69,9 +70,8 @@ object Summarizer {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** The pattern stage of [[summarize]]: per-rule provenance samples, LCA
-    * candidates and their match counts, collected into patterns whose cp is
-    * weighted by the rule's share of the estimated |Prov(Φ)|.
+  /** The pattern stage of [[summarize]]: per-rule provenance samples, then
+    * their [[patterns]].
     */
   def pool(
       spark: SparkSession,
@@ -85,31 +85,32 @@ object Summarizer {
     val (samples, sampleMs) = timed {
       program.rules.flatMap(r => BatchSampler.sample(spark, program, r, catalog, pq, cfg.sampler))
     }
-    val totalProv = samples.map(_.provEstimate).sum
-
-    // Stage 2: LCA candidates per rule (cached + counted to materialize).
-    val (cands, lcaMs) = timed {
-      samples.map { s =>
-        val c = Lca.candidates(s.sample, s.varCols, s.goalColNames).cache()
-        c.count()
-        (s, c)
-      }
-    }
-
-    // Stage 3: match counts + collect into client-side patterns.
-    val (patterns, matchMs) = timed {
-      cands.flatMap { case (s, c) =>
-        val counted = Coverage.matchCounts(c, s.sample, s.varCols, s.goalColNames)
-        Coverage.collectPatterns(s.rule.name, counted, s.varCols, s.goalColNames,
-          s.sampleCount, s.provEstimate / totalProv)
-      }
-    }
-
+    val p = patterns(samples)
     // Release every cache but the samples; the rules shared the domains and
     // σ_t(Q).
-    cands.foreach(_._2.unpersist())
     samples.foreach(_.shared.foreach(_.unpersist()))
-    Pool(samples, patterns, StageTimes(sampleMs, lcaMs, matchMs, 0L))
+    p.copy(times = p.times.copy(sampleMs = sampleMs))
+  }
+
+  /** Stages 2–3 for samples already drawn, with one Spark job per rule, the
+    * collect of its sample: LCA candidates per goal-vector group, then their
+    * match counts, as patterns whose cp is weighted by the rule's share of
+    * the estimated |Prov(Φ)|. `times` holds only `lcaMs` (the collect and
+    * the candidates) and `matchMs` (the counts).
+    */
+  def patterns(samples: Vector[BatchSampler.RuleSample]): Pool = {
+    val totalProv = samples.map(_.provEstimate).sum
+    val perRule = samples.map { s =>
+      val (cands, lcaMs) = timed {
+        GoalGroup.collect(s.sample, s.varCols, s.goalColNames).map(g => (g, Lca.generalize(g)))
+      }
+      val (ps, matchMs) = timed {
+        Coverage.patterns(s.rule.name, cands, s.sampleCount, s.provEstimate / totalProv)
+      }
+      (ps, lcaMs, matchMs)
+    }
+    Pool(samples, perRule.flatMap(_._1),
+      StageTimes(0L, perRule.map(_._2).sum, perRule.map(_._3).sum, 0L))
   }
 
   /** Compute the top-k provenance summary for question `pq` over `program`

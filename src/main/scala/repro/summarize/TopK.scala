@@ -70,6 +70,23 @@ object TopK {
     math.min(1.0, ub.map(_._1.cp).sum)
   }
 
+  /** Ranks a pool for the `maxPatterns` cut and the search: by
+    * harmonic(cp, info), then cp, both descending; patterns tied on both
+    * are ordered by rule, goal vector and arguments (placeholder first), so
+    * the summary does not depend on the order of the pool.
+    */
+  private val rank: Ordering[Pattern] = {
+    import Ordering.Implicits.seqOrdering
+    val value: Ordering[Any] = (a, b) =>
+      if (a.getClass == b.getClass && a.isInstanceOf[Comparable[_]])
+        a.asInstanceOf[Comparable[Any]].compareTo(b)
+      else a.getClass.getName.compareTo(b.getClass.getName)
+    Ordering.by((p: Pattern) => (-Pattern.harmonic(p.cp, p.info), -p.cp))
+      .orElseBy(_.ruleName)
+      .orElseBy(_.goals)
+      .orElse(Ordering.by((p: Pattern) => p.args)(seqOrdering(Ordering.Option(value))))
+  }
+
   private final case class Cand(
       idxs: Vector[Int],      // ascending pattern indices
       cpLow: Double,
@@ -92,10 +109,7 @@ object TopK {
       maxPops: Long = 3000L,
   ): Summary = {
     require(k >= 1, s"k=$k")
-    val deduped = all.distinct
-    val ps = deduped
-      .sortBy(p => (-Pattern.harmonic(p.cp, p.info), -p.cp))
-      .take(maxPatterns)
+    val ps = all.distinct.sorted(rank).take(maxPatterns)
     val n = ps.size
     if (n == 0) return Summary(Vector.empty, 0, 0, 0, 0, 0, optimal = true, 0)
     if (n <= k) {

@@ -1,8 +1,11 @@
 package repro.summarize
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
+import repro.summarize.CatalystReference.multiset
 
 class SummarizerSpec extends SparkSpec {
 
@@ -16,8 +19,34 @@ class SummarizerSpec extends SparkSpec {
     Vector(Comparison(Var("A"), CmpOp.Lt, Var("B")))))
   private def tuple(pred: String, a: Long, b: Long) = PTuple(pred, Vector(Const(a), Const(b)))
 
+  /** `Summarizer.summarize`, checked against the Catalyst `Q_lca`/`Q_match`
+    * on its own samples: the same (args, goals, cp) multiset.
+    */
+  private def summarize(program: Program, catalog: Catalog, pq: ProvQuestion,
+                        cfg: Summarizer.Config): Summarizer.Result = {
+    val res = Summarizer.summarize(spark, program, catalog, pq, cfg)
+    assert(multiset(res.allPatterns) == multiset(CatalystReference.pool(res.ruleSamples)), pq)
+    res
+  }
+
+  /** The Spark jobs `body` starts. */
+  private def jobsOf[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    var jobs = 0
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized(jobs += 1)
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val a = body
+      ListenerBusDrain(sc)
+      (a, listener.synchronized(jobs))
+    } finally sc.removeSparkListener(listener)
+  }
+
   test("airbnb why-not summary (FULL): the paper's narrative patterns emerge") {
-    val res = Summarizer.summarize(spark, Queries.airbnb, airbnb, Queries.whynotAirbnb,
+    val res = summarize(Queries.airbnb, airbnb, Queries.whynotAirbnb,
       Summarizer.Config(nS = 0, k = 3, full = true))
     assert(res.summary.patterns.size == 3)
     assert(math.abs(res.provEstimate - 2160.0) < 1e-9)
@@ -33,9 +62,9 @@ class SummarizerSpec extends SparkSpec {
   }
 
   test("airbnb why-not summary via sampling approximates the FULL one") {
-    val full = Summarizer.summarize(spark, Queries.airbnb, airbnb, Queries.whynotAirbnb,
+    val full = summarize(Queries.airbnb, airbnb, Queries.whynotAirbnb,
       Summarizer.Config(k = 3, full = true))
-    val sampled = Summarizer.summarize(spark, Queries.airbnb, airbnb, Queries.whynotAirbnb,
+    val sampled = summarize(Queries.airbnb, airbnb, Queries.whynotAirbnb,
       Summarizer.Config(nS = 1000, k = 3, seed = 13L))
     assert(sampled.summary.patterns.size == 3)
     // Quality metrics within a loose sampling tolerance of the exact ones.
@@ -44,7 +73,7 @@ class SummarizerSpec extends SparkSpec {
   }
 
   test("why summary on the running example") {
-    val res = Summarizer.summarize(spark, Queries.rEx, rex,
+    val res = summarize(Queries.rEx, rex,
       ProvQuestion(PTuple("Qex", Vector(Var("X"), Var("Y"))), Why),
       Summarizer.Config(nS = 100, k = 2))
     // 3 successful derivations: (1,3,2), (1,4,2), (5,6,5); all goals T.
@@ -54,14 +83,14 @@ class SummarizerSpec extends SparkSpec {
   }
 
   test("why-not summary on the running example (exact, tiny space)") {
-    val res = Summarizer.summarize(spark, Queries.rEx, rex, Queries.whynotEx,
+    val res = summarize(Queries.rEx, rex, Queries.whynotEx,
       Summarizer.Config(nS = 100, k = 3))
     assert(res.ruleSamples.head.exact) // 12-derivation space → full enumeration
     assert(math.abs(res.provEstimate - 6.0) < 1e-9) // X∈{1,2}: 12 bindings − 6 of (1,4)
     assert(res.summary.patterns.nonEmpty)
     // A fully ground rule's space is its one valuation: R(1,9) fails, so
     // the summary is the empty pattern with goals (F), covering everything.
-    val g = Summarizer.summarize(spark, groundQg, rex,
+    val g = summarize(groundQg, rex,
       ProvQuestion(tuple("Qg", 1L, 9L), Whynot),
       Summarizer.Config(nS = 100, k = 3))
     assert(g.ruleSamples.map(_.exact) == Vector(true))
@@ -79,7 +108,7 @@ class SummarizerSpec extends SparkSpec {
         (groundQg, ProvQuestion(tuple("Qg", 1L, 9L), Why)),
         (groundQc, ProvQuestion(tuple("Qc", 5L, 3L), Whynot)))) {
       val persisted = spark.sparkContext.getPersistentRDDs.keySet
-      val res = Summarizer.summarize(spark, program, rex, pq, Summarizer.Config(nS = 10, k = 3))
+      val res = summarize(program, rex, pq, Summarizer.Config(nS = 10, k = 3))
       assert(res.summary.patterns.isEmpty, pq)
       assert(res.allPatterns.isEmpty, pq)
       // A rule that contributes nothing releases every cache it created.
@@ -91,13 +120,26 @@ class SummarizerSpec extends SparkSpec {
     val cat = Datasets.movies(spark, 80)
     val cfg = Summarizer.Config(nS = 60, k = 3, seed = 3L)
     val persisted = spark.sparkContext.getPersistentRDDs.keySet
-    val res = Summarizer.summarize(spark, Queries.r4, cat, Queries.whynotR4, cfg)
+    val res = summarize(Queries.r4, cat, Queries.whynotR4, cfg)
     assert(res.ruleSamples.size == 3) // r4, r4', r4'' all contribute
     // The samples are the only caches the question leaves behind.
     assert((spark.sparkContext.getPersistentRDDs.keySet -- persisted).size == res.ruleSamples.size)
-    // The exposed pattern stage is exactly the pool the top-k search saw,
-    // and the per-rule provenance-share weights sum to 1.
-    assert(Summarizer.pool(spark, Queries.r4, cat, Queries.whynotR4, cfg).patterns == res.allPatterns)
+    // Given the cached samples, the pattern stage runs one Spark job per
+    // rule, the collect of its sample, and caches nothing.
+    val cached = spark.sparkContext.getPersistentRDDs.keySet
+    val (again, jobs) = jobsOf(Summarizer.patterns(res.ruleSamples))
+    assert(jobs == res.ruleSamples.size)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == cached)
+    assert(again.patterns == res.allPatterns)
+    // The exposed pattern stage, drawn afresh, is exactly the pool the
+    // top-k search saw and leaves only its samples cached; the per-rule
+    // provenance-share weights sum to 1.
+    res.ruleSamples.foreach(_.sample.unpersist())
+    val uncached = spark.sparkContext.getPersistentRDDs.keySet
+    val pool = Summarizer.pool(spark, Queries.r4, cat, Queries.whynotR4, cfg)
+    assert(pool.patterns == res.allPatterns)
+    assert((spark.sparkContext.getPersistentRDDs.keySet -- uncached).size == pool.ruleSamples.size)
+    pool.ruleSamples.foreach(_.sample.unpersist())
     val provs = res.ruleSamples.map(_.provEstimate)
     assert(provs.forall(_ > 0) && math.abs(provs.map(_ / provs.sum).sum - 1.0) < 1e-9)
     val ruleNames = res.allPatterns.map(_.ruleName).toSet
@@ -109,14 +151,14 @@ class SummarizerSpec extends SparkSpec {
   }
 
   test("stage times are populated") {
-    val res = Summarizer.summarize(spark, Queries.rEx, rex, Queries.whynotEx,
+    val res = summarize(Queries.rEx, rex, Queries.whynotEx,
       Summarizer.Config(nS = 50, k = 2))
     assert(res.times.sampleMs >= 0 && res.times.lcaMs >= 0)
   }
 
   test("whynot on r1: sampled patterns reflect the valid-swanton structure") {
     val cat = Datasets.license(spark, 300)
-    val res = Summarizer.summarize(spark, Queries.r1, cat, Queries.whynotR1,
+    val res = summarize(Queries.r1, cat, Queries.whynotR1,
       Summarizer.Config(nS = 200, k = 3, seed = 5L))
     assert(res.summary.patterns.nonEmpty)
     // Every swanton license is valid, so derivations grounded in a real
@@ -127,16 +169,16 @@ class SummarizerSpec extends SparkSpec {
 
   test("why summary on r2 covers the witness derivation") {
     val cat = Datasets.license(spark, 300)
-    val res = Summarizer.summarize(spark, Queries.r2, cat, Queries.whyR2,
+    val res = summarize(Queries.r2, cat, Queries.whyR2,
       Summarizer.Config(nS = 100, k = 3))
     assert(res.provEstimate >= 1.0)
     res.summary.patterns.foreach(p => assert(p.goals.forall(identity)))
   }
 
   test("determinism: same seed, same summary") {
-    val a = Summarizer.summarize(spark, Queries.airbnb, airbnb, Queries.whynotAirbnb,
+    val a = summarize(Queries.airbnb, airbnb, Queries.whynotAirbnb,
       Summarizer.Config(nS = 300, k = 3, seed = 21L))
-    val b = Summarizer.summarize(spark, Queries.airbnb, airbnb, Queries.whynotAirbnb,
+    val b = summarize(Queries.airbnb, airbnb, Queries.whynotAirbnb,
       Summarizer.Config(nS = 300, k = 3, seed = 21L))
     assert(a.summary.patterns == b.summary.patterns)
   }

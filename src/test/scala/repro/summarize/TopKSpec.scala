@@ -1,5 +1,6 @@
 package repro.summarize
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -140,5 +141,27 @@ class TopKSpec extends AnyFunSuite {
     val b = p("r2", 0.4, Some(1L))(true)
     val s = TopK.summarize(Vector(a, b), k = 2)
     assert(math.abs(s.cpLow - 0.9) < 1e-12) // disjoint across rules
+  }
+
+  test("the summary is invariant under permutation of a pool with tied cp and info") {
+    // Two rules, two goal vectors, three slots over {0, 1, 2}: distinct keys,
+    // but cp from two values and info from the constant count, so most
+    // patterns tie on both ranking keys, and the cut and the search must
+    // choose among ties.
+    val arg  = Gen.oneOf(Gen.const(None), Gen.choose(0L, 2L).map(v => Some(v)))
+    val pattern = for {
+      rule  <- Gen.oneOf("r", "s")
+      goals <- Gen.listOfN(2, Gen.oneOf(true, false))
+      args  <- Gen.listOfN(3, arg)
+      cp    <- Gen.oneOf(0.1, 0.2)
+    } yield Pattern(rule, args.toVector, goals.toVector, cp)
+    val pool = Gen.listOfN(30, pattern).map(_.distinctBy(p => (p.ruleName, p.goals, p.args)).toVector)
+    val prop = Prop.forAll(pool, Gen.choose(1, 3), Gen.choose(1, 6), Gen.long) { (ps, k, maxPatterns, seed) =>
+      val shuffled = new Random(seed).shuffle(ps)
+      TopK.summarize(ps, k, maxPatterns, maxPops = 200) ==
+        TopK.summarize(shuffled, k, maxPatterns, maxPops = 200)
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, res)
   }
 }

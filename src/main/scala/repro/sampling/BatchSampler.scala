@@ -1,10 +1,12 @@
 package repro.sampling
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.datalog._
 import repro.prov.{DerivationOps, WhyProv}
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Batch sampling of why-not (and why) provenance (paper §5).
   *
@@ -28,6 +30,10 @@ import repro.prov.{DerivationOps, WhyProv}
   *
   * `n_OS` comes from [[OverSampling]] so that with probability `P_success`
   * at least `n_S` draws survive both `θ_join` and the missing-answer filter.
+  *
+  * Each rule's sample is collected to the driver once, and everything
+  * downstream reads those rows. The caches a question makes on the way live
+  * only inside [[sample]].
   */
 object BatchSampler {
 
@@ -44,36 +50,39 @@ object BatchSampler {
       fullEnumFactor: Double = 4.0,
   )
 
-  /** The sample of one rule's provenance plus the estimates the summarizer
-    * needs downstream.
+  /** The sample of one rule's provenance, collected to the driver, plus the
+    * estimates the summarizer needs downstream.
     *
-    * @param sample       annotated derivations (`varCols` + `goalColNames`), cached
-    * @param sampleCount  |sample| (≤ nS; the denominator of cp estimates; > 0)
+    * @param rows         the annotated derivations, with their schema: per
+    *                     row the `varCols` values, then the `goalColNames` flags
     * @param nOS          over-sampling size used (0 when FULL enumeration ran)
     * @param provEstimate estimated |Prov_r(Φ)| — used to weight rules of a
     *                     union when merging their patterns (paper §5.2
     *                     "Queries With Multiple Rules")
     * @param exact        true when the sample IS the full provenance
-    * @param shared       the caches a why-not sample was drawn with: the
-    *                     variable domains and σ_t(Q); still persisted,
-    *                     because the rules of a union share them
-    *                     ([[repro.summarize.Summarizer.pool]] releases them
-    *                     once every rule is sampled)
     */
   final case class RuleSample(
       rule: Rule,
       unified: Unify.Unified,
-      sample: DataFrame,
-      sampleCount: Long,
+      rows: Vector[Row],
       nOS: Long,
       provEstimate: Double,
       exact: Boolean,
-      shared: Seq[DataFrame] = Nil,
   ) {
     /** The unbound-variable columns, in pattern-argument order. */
     val varCols: Seq[String] = unified.unboundVars.map(_.name)
     /** The goal-annotation columns `g0..g(m-1)`. */
     val goalColNames: Seq[String] = DerivationOps.goalCols(unified.rule.atoms.size)
+    /** |sample|, the denominator of cp estimates; > 0. A batch sample and a
+      * why sample hold at most `nS` rows. An exact why-not enumeration holds
+      * up to `fullEnumFactor · nS` of them (4000 at the default `nS`), and
+      * FULL mode keeps every derivation.
+      */
+    def sampleCount: Long = rows.size.toLong
+    /** The rows as a DataFrame of the active session: a local relation, not
+      * cached and read without a Spark job.
+      */
+    lazy val sample: DataFrame = SparkSession.active.createDataFrame(rows.asJava, rows.head.schema)
   }
 
   /** `Q_X`: `n` valuations drawn uniformly with replacement, one column per
@@ -101,58 +110,68 @@ object BatchSampler {
     df.orderBy(xxhash64(cols :+ lit(seed): _*)).limit(n.toInt)
   }
 
-  /** The provenance of `rule` for question `pq` — the one entry point every
-    * pipeline stage gets a rule's sample through. Unifies the rule with the
-    * p-tuple and checks its ground comparisons once, then captures why
-    * provenance exactly or samples why-not provenance (FULL or
-    * batch-sampled). Every cache it creates is released, apart from the
-    * returned sample and its `shared` caches. Returns None whenever the rule
-    * contributes no derivations: head clash, violated ground comparison,
-    * empty domain, no missing answers, or an empty result.
+  /** The provenance of question `pq`: the sample of every rule of `program`
+    * that contributes derivations, in rule order — the one entry point every
+    * pipeline stage gets its samples through. Each rule is unified with the
+    * p-tuple and its ground comparisons checked once; then its why
+    * provenance is captured exactly, or its why-not provenance sampled (FULL
+    * or batch-sampled). A rule contributes nothing on a head clash, a
+    * violated ground comparison, an empty domain, no missing answers, or an
+    * empty result.
+    *
+    * It owns every cache the question makes — σ_t(Q) (why-not only, cached
+    * and counted once), the variable domains the rules of a union share, and
+    * a why rule's captured derivations — and releases them all before it
+    * returns or throws.
     */
   def sample(
       spark: SparkSession,
       program: Program,
-      rule: Rule,
       catalog: Catalog,
       pq: ProvQuestion,
       cfg: Config,
-  ): Option[RuleSample] =
-    Unify.unify(rule, pq.tuple)
-      .filter(u => DerivationOps.groundComparisonsHold(u.rule))
-      .flatMap { u =>
-        pq.qtype match {
-          case Why    => why(spark, rule, u, catalog, cfg)
-          case Whynot => whynot(spark, program, rule, u, catalog, pq.tuple, cfg)
-        }
-      }
+  ): Vector[RuleSample] = sampleRules(spark, program, program.rules, catalog, pq, cfg)
 
-  /** [[sample]] for `(t, Whynot)`. */
+  /** [[sample]] for `(t, Whynot)`, over `rule` alone. */
   def whynotSample(spark: SparkSession, program: Program, rule: Rule, catalog: Catalog,
                    t: PTuple, cfg: Config): Option[RuleSample] =
-    sample(spark, program, rule, catalog, ProvQuestion(t, Whynot), cfg)
+    sampleRules(spark, program, Seq(rule), catalog, ProvQuestion(t, Whynot), cfg).headOption
 
-  /** [[sample]] for `(t, Why)`. */
+  /** [[sample]] for `(t, Why)`, over `rule` alone. */
   def whySample(spark: SparkSession, program: Program, rule: Rule, catalog: Catalog,
                 t: PTuple, cfg: Config): Option[RuleSample] =
-    sample(spark, program, rule, catalog, ProvQuestion(t, Why), cfg)
+    sampleRules(spark, program, Seq(rule), catalog, ProvQuestion(t, Why), cfg).headOption
+
+  /** [[sample]] over `rules` of `program`. Every cache goes through
+    * `cached`, which records it for the one release in `finally`.
+    */
+  private def sampleRules(spark: SparkSession, program: Program, rules: Seq[Rule], catalog: Catalog,
+                          pq: ProvQuestion, cfg: Config): Vector[RuleSample] = {
+    val held = mutable.ArrayBuffer.empty[DataFrame]
+    def cached(df: DataFrame): DataFrame = { held += df; df.cache() }
+    val unified = rules.toVector.flatMap(r =>
+      Unify.unify(r, pq.tuple).filter(u => DerivationOps.groundComparisonsHold(u.rule)).map(r -> _))
+    try pq.qtype match {
+      case Why => unified.flatMap { case (r, u) => why(spark, r, u, catalog, cfg, cached) }
+      case Whynot =>
+        val answers   = cached(DatalogEval.restrictedAnswers(program, catalog, pq.tuple))
+        val nExisting = answers.count()
+        unified.flatMap { case (r, u) => whynot(spark, r, u, catalog, answers, nExisting, cfg, cached) }
+    } finally held.reverseIterator.foreach(_.unpersist())
+  }
 
   /** Why-not provenance of the unified rule `u`: [[DerivationOps.whynotDerivations]]
     * over the full space when it is small (a ground rule's one valuation
-    * included), else over the batch sample of §5.2. The variable domains and
-    * σ_t(Q) stay cached in the returned sample's `shared`, since the rules of
-    * a union share them.
+    * included), else over the batch sample of §5.2. `answers` is σ_t(Q), of
+    * `nExisting` rows.
     */
-  private def whynot(spark: SparkSession, program: Program, rule: Rule, u: Unify.Unified,
-                     catalog: Catalog, t: PTuple, cfg: Config): Option[RuleSample] = {
-    val frames  = u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog).cache())
-    val answers = DatalogEval.restrictedAnswers(program, catalog, t).cache()
-    val shared  = frames :+ answers
-    // No derivations: nothing downstream needs the shared caches.
-    def nothing: Option[RuleSample] = { shared.foreach(_.unpersist()); None }
+  private def whynot(spark: SparkSession, rule: Rule, u: Unify.Unified, catalog: Catalog,
+                     answers: DataFrame, nExisting: Long, cfg: Config,
+                     cached: DataFrame => DataFrame): Option[RuleSample] = {
+    val frames = u.unboundVars.map(v => cached(DerivationOps.varDomain(u.rule, v, catalog)))
     // Domain sizes drive |A(Q,D,t)| and the over-sampling size.
     val sizes = domainSizes(frames)
-    if (sizes.contains(0L)) return nothing
+    if (sizes.contains(0L)) return None
     val domSize   = u.unboundVars.zip(sizes).toMap
     val spaceSize = sizes.map(_.toDouble).product
 
@@ -161,7 +180,6 @@ object BatchSampler {
     // unbound vars of |D_X|, so p_notProv = nExisting / Π over head-unbound
     // vars of |D_X|.
     val headUnbound = u.rule.headArgs.collect { case v: Var => v }.distinct
-    val nExisting   = answers.count()
     val headSpace   = headUnbound.map(v => domSize(v).toDouble).product
     val pNotProv =
       if (headUnbound.isEmpty) { if (nExisting > 0) 1.0 else 0.0 }
@@ -175,24 +193,22 @@ object BatchSampler {
 
     val pDraw        = sel * (1.0 - pNotProv)
     val provEstimate = spaceSize * pDraw
-    if (pDraw <= 0.0) return nothing
+    if (pDraw <= 0.0) return None
 
     if (spaceSize <= math.max(1.0, cfg.fullEnumFactor * cfg.nS)) {
       // Small space: enumerate exactly instead of sampling. (A small
       // provenance inside a huge space must still be sampled — enumeration
       // cost is O(spaceSize), not O(provenance).)
       val space = DerivationOps.fullSpace(spark, frames)
-      return materialized(DerivationOps.whynotDerivations(space, answers, catalog, u.rule))
-        .map { case (full, c) => RuleSample(rule, u, full, c, 0L, c.toDouble, exact = true, shared) }
-        .orElse(nothing)
+      return collected(DerivationOps.whynotDerivations(space, answers, catalog, u.rule))
+        .map(rows => RuleSample(rule, u, rows, 0L, rows.size.toDouble, exact = true))
     }
 
     val nOS       = OverSampling.minOverSample(cfg.nS, pDraw, cfg.pSuccess, cfg.nOSCap)
     val space     = draw(spark, frames.zip(sizes), nOS, cfg.seed)
     val annotated = DerivationOps.whynotDerivations(space, answers, catalog, u.rule).distinct()
-    materialized(takeN(annotated, cfg.nS, cfg.seed))
-      .map { case (sample, c) => RuleSample(rule, u, sample, c, nOS, provEstimate, exact = false, shared) }
-      .orElse(nothing)
+    collected(takeN(annotated, cfg.nS, cfg.seed))
+      .map(rows => RuleSample(rule, u, rows, nOS, provEstimate, exact = false))
   }
 
   /** The row count of every domain, from one Spark job: the union of
@@ -211,23 +227,15 @@ object BatchSampler {
     * them uniformly.
     */
   private def why(spark: SparkSession, rule: Rule, u: Unify.Unified, catalog: Catalog,
-                  cfg: Config): Option[RuleSample] =
-    materialized(WhyProv.successful(spark, u, catalog)).map { case (all, total) =>
-      if (total <= cfg.nS) RuleSample(rule, u, all, total, 0L, total.toDouble, exact = true)
-      else {
-        val sample = takeN(all, cfg.nS, cfg.seed).cache()
-        val c      = sample.count()
-        // Only now: unpersisting a parent recompiles a dependent cache that
-        // is not yet loaded.
-        all.unpersist()
-        RuleSample(rule, u, sample, c, 0L, total.toDouble, exact = false)
-      }
-    }
-
-  /** `df` cached and counted; None, with the cache released, when empty. */
-  private def materialized(df: DataFrame): Option[(DataFrame, Long)] = {
-    val cached = df.cache()
-    val c      = cached.count()
-    if (c > 0) Some((cached, c)) else { cached.unpersist(); None }
+                  cfg: Config, cached: DataFrame => DataFrame): Option[RuleSample] = {
+    val all   = cached(WhyProv.successful(spark, u, catalog))
+    val total = all.count()
+    val exact = total <= cfg.nS
+    if (total == 0) None
+    else collected(if (exact) all else takeN(all, cfg.nS, cfg.seed))
+      .map(rows => RuleSample(rule, u, rows, 0L, total.toDouble, exact))
   }
+
+  /** The rows of `df`, collected in one Spark job; None when it has none. */
+  private def collected(df: DataFrame): Option[Vector[Row]] = Option(df.collect().toVector).filter(_.nonEmpty)
 }

@@ -10,9 +10,9 @@ import scala.jdk.CollectionConverters._
   * (goal annotations equal, `X IS NULL ∨ X = S.X` per variable).
   *
   * The paper's `Q_match` is a theta join plus a group-count in the DBMS.
-  * Here each goal-vector group of the collected sample holds one bitset
-  * over its rows per (column, code); a candidate's match count is the
-  * popcount of the AND of the bitsets of its constants.
+  * Here each goal-vector group of the sample, held on the driver, holds one
+  * bitset over its rows per (column, code); a candidate's match count is
+  * the popcount of the AND of the bitsets of its constants.
   */
 object Coverage {
 
@@ -74,13 +74,14 @@ object Coverage {
   }
 
   /** Match counts as a DataFrame: the distinct candidate rows with at least
-    * one match, plus `__matches`.
+    * one match, plus `__matches`. A DataFrame view of [[Matcher]]; the
+    * summarizer does not use it, nor [[collectPatterns]].
     */
   def matchCounts(candidates: DataFrame, sample: DataFrame,
                   varCols: Seq[String], goalColNames: Seq[String]): DataFrame = {
     val nv = varCols.size
-    val matchers =
-      GoalGroup.collect(sample, varCols, goalColNames).map(g => g.goals -> new Matcher(g)).toMap
+    val sampled  = sample.select((varCols ++ goalColNames).map(col): _*).collect().toSeq
+    val matchers = GoalGroup.split(sampled, nv, goalColNames.size).map(g => g.goals -> new Matcher(g)).toMap
     val cands = candidates.select((varCols ++ goalColNames).map(col): _*)
     val rows = cands.collect().distinct.toVector.flatMap { r =>
       val goals = Vector.tabulate(goalColNames.size)(j => r.getBoolean(nv + j))

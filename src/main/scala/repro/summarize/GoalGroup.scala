@@ -1,13 +1,12 @@
 package repro.summarize
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.Row
 import scala.collection.mutable
 
-/** The rows of a rule's collected sample that share one goal-annotation
-  * vector, dictionary-encoded per variable column. `Q_lca` pairs only rows
-  * with equal goal annotations and `Q_match` requires them equal, so both
-  * run per group on the codes.
+/** The rows of a rule's sample, held on the driver, that share one
+  * goal-annotation vector, dictionary-encoded per variable column. `Q_lca`
+  * pairs only rows with equal goal annotations and `Q_match` requires them
+  * equal, so both run per group on the codes.
   *
   * A column's values get codes 0, 1, … in order of first occurrence, keyed by
   * Java `equals`. NULL gets [[GoalGroup.Null]], a code that equals nothing,
@@ -53,15 +52,13 @@ object GoalGroup {
 
   private val Unknown: Int = -2
 
-  /** Collect the variable and goal columns of `sample` (one Spark job) and
-    * split the rows by goal vector, in order of first occurrence.
+  /** Split a rule's sampled rows — per row `nv` variable values, then `ng`
+    * goal flags — by goal vector, in order of first occurrence.
     */
-  def collect(sample: DataFrame, varCols: Seq[String], goalColNames: Seq[String]): Vector[GoalGroup] = {
-    val nv   = varCols.size
-    val rows = sample.select((varCols ++ goalColNames).map(col): _*).collect()
+  def split(rows: Seq[Row], nv: Int, ng: Int): Vector[GoalGroup] = {
     val byGoals = mutable.LinkedHashMap.empty[Vector[Boolean], mutable.ArrayBuffer[Array[Any]]]
     rows.foreach { r =>
-      val goals = Vector.tabulate(goalColNames.size)(j => r.getBoolean(nv + j))
+      val goals = Vector.tabulate(ng)(j => r.getBoolean(nv + j))
       byGoals.getOrElseUpdate(goals, mutable.ArrayBuffer.empty) += Array.tabulate(nv)(r.get)
     }
     byGoals.map { case (goals, values) => encoded(goals, values, nv) }.toVector

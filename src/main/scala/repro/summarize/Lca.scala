@@ -12,9 +12,9 @@ import scala.jdk.CollectionConverters._
   * itself keeps the all-constant patterns, so every candidate matches at
   * least one sampled derivation.
   *
-  * The paper's `Q_lca` is a self-join in the DBMS. Here the sample, at most
-  * `n_S` rows and already cached, is collected, and the pairs of each
-  * goal-vector group are generalized on the driver, on dictionary codes.
+  * The paper's `Q_lca` is a self-join in the DBMS. Here the pairs of each
+  * goal-vector group of the sample, which the sampler has already collected
+  * to the driver, are generalized there, on dictionary codes.
   */
 object Lca {
 
@@ -70,14 +70,15 @@ object Lca {
   /** Candidate patterns for one rule's sample as a DataFrame: the sample's
     * variable columns (NULL = placeholder) and goal columns, distinct. A
     * ground rule has no variable columns, so its candidates are its
-    * distinct goal vectors.
+    * distinct goal vectors. A DataFrame view of [[generalize]]; the
+    * summarizer does not use it.
     */
   def candidates(sample: DataFrame, varCols: Seq[String], goalColNames: Seq[String]): DataFrame = {
-    val rows = GoalGroup.collect(sample, varCols, goalColNames).flatMap { g =>
+    val cols = sample.select((varCols ++ goalColNames).map(col): _*)
+    val rows = GoalGroup.split(cols.collect().toSeq, varCols.size, goalColNames.size).flatMap { g =>
       generalize(g).map(c => Row.fromSeq(g.decode(c).map(_.orNull) ++ g.goals))
     }
-    val schema = sample.select((varCols ++ goalColNames).map(col): _*).schema
-    val placeholders = StructType(schema.fields.map(f =>
+    val placeholders = StructType(cols.schema.fields.map(f =>
       if (varCols.contains(f.name)) f.copy(nullable = true) else f))
     sample.sparkSession.createDataFrame(rows.asJava, placeholders)
   }

@@ -16,8 +16,9 @@ import repro.sampling.BatchSampler
 object Summarizer {
 
   /** Wall-clock per pipeline stage, in milliseconds — the unit the paper's
-    * runtime figures break down by. `lcaMs` covers collecting the samples
-    * and generating the candidates, `matchMs` counting their matches.
+    * runtime figures break down by. `sampleMs` covers drawing the samples
+    * and collecting them, `lcaMs` splitting them by goal vector and
+    * generating the candidates, `matchMs` counting their matches.
     */
   final case class StageTimes(sampleMs: Long, lcaMs: Long, matchMs: Long, topkMs: Long)
 
@@ -70,8 +71,9 @@ object Summarizer {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** The pattern stage of [[summarize]]: per-rule provenance samples, then
-    * their [[patterns]].
+  /** The pattern stage of [[summarize]]: the question's provenance samples,
+    * drawn and collected by [[BatchSampler.sample]], which leaves no cache
+    * behind, then their [[patterns]].
     */
   def pool(
       spark: SparkSession,
@@ -80,29 +82,22 @@ object Summarizer {
       pq: ProvQuestion,
       cfg: Config = Config(),
   ): Pool = {
-    // Stage 1: per-rule provenance samples (the count() inside the sampler
-    // materializes the cached sample, so the timing covers the real work).
-    val (samples, sampleMs) = timed {
-      program.rules.flatMap(r => BatchSampler.sample(spark, program, r, catalog, pq, cfg.sampler))
-    }
+    val (samples, sampleMs) = timed(BatchSampler.sample(spark, program, catalog, pq, cfg.sampler))
     val p = patterns(samples)
-    // Release every cache but the samples; the rules shared the domains and
-    // σ_t(Q).
-    samples.foreach(_.shared.foreach(_.unpersist()))
     p.copy(times = p.times.copy(sampleMs = sampleMs))
   }
 
-  /** Stages 2–3 for samples already drawn, with one Spark job per rule, the
-    * collect of its sample: LCA candidates per goal-vector group, then their
-    * match counts, as patterns whose cp is weighted by the rule's share of
-    * the estimated |Prov(Φ)|. `times` holds only `lcaMs` (the collect and
-    * the candidates) and `matchMs` (the counts).
+  /** Stages 2–3 for samples already drawn, on the driver and without a
+    * Spark job: LCA candidates per goal-vector group of each rule's rows,
+    * then their match counts, as patterns whose cp is weighted by the rule's
+    * share of the estimated |Prov(Φ)|. `times` holds only `lcaMs` (the split
+    * and the candidates) and `matchMs` (the counts).
     */
   def patterns(samples: Vector[BatchSampler.RuleSample]): Pool = {
     val totalProv = samples.map(_.provEstimate).sum
     val perRule = samples.map { s =>
       val (cands, lcaMs) = timed {
-        GoalGroup.collect(s.sample, s.varCols, s.goalColNames).map(g => (g, Lca.generalize(g)))
+        GoalGroup.split(s.rows, s.varCols.size, s.goalColNames.size).map(g => (g, Lca.generalize(g)))
       }
       val (ps, matchMs) = timed {
         Coverage.patterns(s.rule.name, cands, s.sampleCount, s.provEstimate / totalProv)

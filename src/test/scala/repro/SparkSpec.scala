@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{CacheEntries, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -14,6 +14,12 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** The persisted RDDs and the number of cache-manager entries: a call
+    * that leaves no cache behind leaves both as it found them.
+    */
+  def cacheState: (Set[Int], Int) =
+    (spark.sparkContext.getPersistentRDDs.keySet.toSet, CacheEntries(spark))
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -11,7 +11,9 @@ class BaselineSpec extends SparkSpec {
   private lazy val rex    = Datasets.runningExample(spark)
 
   test("single derivation: returns one genuine why-not derivation") {
+    val before = cacheState
     val e = SingleDerivation.explain(spark, Queries.airbnb, airbnb, Queries.whynotAirbnb).get
+    assert(cacheState == before, "explain left a cache behind")
     assert(e.ruleName == "rA")
     assert(e.args.size == 5 && e.goals.size == 2)
     val full = FullWhyNot.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,

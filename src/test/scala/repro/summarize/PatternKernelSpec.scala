@@ -31,7 +31,7 @@ class PatternKernelSpec extends SparkSpec {
   } yield Sample(nVars, nGoals, (rows ++ dups).toVector)
 
   private def kernelPatterns(s: Sample, df: DataFrame): Vector[Pattern] = {
-    val cands = GoalGroup.collect(df, s.varCols, s.goalCols).map(g => (g, Lca.generalize(g)))
+    val cands = GoalGroup.split(df.collect().toSeq, s.nVars, s.nGoals).map(g => (g, Lca.generalize(g)))
     Coverage.patterns("r", cands, s.rows.size.toLong, 0.5)
   }
 

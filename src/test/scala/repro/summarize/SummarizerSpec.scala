@@ -2,6 +2,7 @@ package repro.summarize
 
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.functions.{col, concat, lit, raise_error}
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
@@ -102,44 +103,61 @@ class SummarizerSpec extends SparkSpec {
     // Qex(1,4) and Qg(1,2) are existing answers, so neither has why-not
     // provenance; Qg(1,9) is no answer, so it has no why provenance; Qc(5,3)
     // violates 5 < 3. The Qg and Qc rules are fully ground after unification.
-    for ((program, pq) <- Seq(
-        (Queries.rEx, ProvQuestion(tuple("Qex", 1L, 4L), Whynot)),
-        (groundQg, ProvQuestion(tuple("Qg", 1L, 2L), Whynot)),
-        (groundQg, ProvQuestion(tuple("Qg", 1L, 9L), Why)),
-        (groundQc, ProvQuestion(tuple("Qc", 5L, 3L), Whynot)))) {
-      val persisted = spark.sparkContext.getPersistentRDDs.keySet
-      val res = summarize(program, rex, pq, Summarizer.Config(nS = 10, k = 3))
-      assert(res.summary.patterns.isEmpty, pq)
-      assert(res.allPatterns.isEmpty, pq)
-      // A rule that contributes nothing releases every cache it created.
-      assert((spark.sparkContext.getPersistentRDDs.keySet -- persisted).isEmpty, pq)
+    // The last four questions have provenance: why, sampled why-not, exact
+    // why-not and the r4 union. `exact` is the kind of each rule's sample.
+    val movies = Datasets.movies(spark, 80)
+    for ((program, catalog, pq, exact) <- Seq(
+        (Queries.rEx, rex, ProvQuestion(tuple("Qex", 1L, 4L), Whynot), Vector()),
+        (groundQg, rex, ProvQuestion(tuple("Qg", 1L, 2L), Whynot), Vector()),
+        (groundQg, rex, ProvQuestion(tuple("Qg", 1L, 9L), Why), Vector()),
+        (groundQc, rex, ProvQuestion(tuple("Qc", 5L, 3L), Whynot), Vector()),
+        (Queries.rEx, rex, ProvQuestion(PTuple("Qex", Vector(Var("X"), Var("Y"))), Why), Vector(true)),
+        (Queries.airbnb, airbnb, Queries.whynotAirbnb, Vector(false)),
+        (Queries.rEx, rex, Queries.whynotEx, Vector(true)),
+        (Queries.r4, movies, Queries.whynotR4, Vector(false, false, false)))) {
+      val before = cacheState
+      val res = summarize(program, catalog, pq, Summarizer.Config(nS = 10, k = 3))
+      assert(res.ruleSamples.map(_.exact) == exact, pq)
+      assert(res.summary.patterns.isEmpty == exact.isEmpty, pq)
+      assert(res.allPatterns.isEmpty == exact.isEmpty, pq)
+      // A question releases every cache it created, whether or not a rule
+      // contributes.
+      assert(cacheState == before, pq)
     }
+  }
+
+  test("a question that throws during sampling leaves no cache behind") {
+    // R's first column as a domain that fails whenever a job reads it:
+    // σ_t(Q) is cached and counted, the domains are cached, and then the job
+    // that counts them throws.
+    val failing = rex.withDomain("R", 0, spark.range(3)
+      .select(raise_error(concat(lit("no domain: "), col("id").cast("string"))).cast("long")))
+    val before = cacheState
+    val e = intercept[Exception](
+      Summarizer.summarize(spark, Queries.rEx, failing, Queries.whynotEx, Summarizer.Config(nS = 10)))
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(t => String.valueOf(t.getMessage).contains("no domain: ")), e)
+    assert(cacheState == before)
   }
 
   test("union query: summary draws patterns per rule and weights them") {
     val cat = Datasets.movies(spark, 80)
     val cfg = Summarizer.Config(nS = 60, k = 3, seed = 3L)
-    val persisted = spark.sparkContext.getPersistentRDDs.keySet
+    val before = cacheState
     val res = summarize(Queries.r4, cat, Queries.whynotR4, cfg)
     assert(res.ruleSamples.size == 3) // r4, r4', r4'' all contribute
-    // The samples are the only caches the question leaves behind.
-    assert((spark.sparkContext.getPersistentRDDs.keySet -- persisted).size == res.ruleSamples.size)
-    // Given the cached samples, the pattern stage runs one Spark job per
-    // rule, the collect of its sample, and caches nothing.
-    val cached = spark.sparkContext.getPersistentRDDs.keySet
+    // The question leaves nothing cached: its samples are driver values.
+    assert(cacheState == before)
+    // Given the samples, the pattern stage runs no Spark job.
     val (again, jobs) = jobsOf(Summarizer.patterns(res.ruleSamples))
-    assert(jobs == res.ruleSamples.size)
-    assert(spark.sparkContext.getPersistentRDDs.keySet == cached)
+    assert(jobs == 0)
     assert(again.patterns == res.allPatterns)
     // The exposed pattern stage, drawn afresh, is exactly the pool the
-    // top-k search saw and leaves only its samples cached; the per-rule
+    // top-k search saw and leaves nothing cached either; the per-rule
     // provenance-share weights sum to 1.
-    res.ruleSamples.foreach(_.sample.unpersist())
-    val uncached = spark.sparkContext.getPersistentRDDs.keySet
     val pool = Summarizer.pool(spark, Queries.r4, cat, Queries.whynotR4, cfg)
     assert(pool.patterns == res.allPatterns)
-    assert((spark.sparkContext.getPersistentRDDs.keySet -- uncached).size == pool.ruleSamples.size)
-    pool.ruleSamples.foreach(_.sample.unpersist())
+    assert(cacheState == before)
     val provs = res.ruleSamples.map(_.provEstimate)
     assert(provs.forall(_ > 0) && math.abs(provs.map(_ / provs.sum).sum - 1.0) < 1e-9)
     val ruleNames = res.allPatterns.map(_.ruleName).toSet

@@ -66,29 +66,21 @@ object DatalogEval {
 
   /** All successful valuations of the rule: one column per rule variable
     * (named by the variable), one row per derivation in the why provenance
-    * sense (all goals succeed, all comparisons hold). Distinct.
+    * sense (all goals succeed, all comparisons hold). Distinct. Goals join
+    * on the variables they share; a goal that shares none (a ground atom
+    * among them) joins without a key, and a fully ground rule has one
+    * valuation, of no column, or none.
     */
   def bindings(rule: Rule, catalog: Catalog): DataFrame = {
     require(rule.isSafe, s"rule ${rule.name} is unsafe")
-    require(rule.variables.nonEmpty,
-      s"rule ${rule.name}: fully ground rules are handled by the caller")
     catalog.validate(rule)
 
-    val positives = rule.positiveAtoms.map(a => atomBindings(a, catalog))
-    var joined = positives.head
-    positives.tail.foreach { right =>
-      val shared = joined.columns.toSet.intersect(right.columns.toSet).toSeq
-      joined =
-        if (shared.nonEmpty) joined.join(right, shared, "inner")
-        else joined.crossJoin(right)
+    val positive = rule.positiveAtoms.map(a => atomBindings(a, catalog)).reduce { (l, r) =>
+      l.join(r, l.columns.toSet.intersect(r.columns.toSet).toSeq, "inner")
     }
-    rule.comparisons.foreach(c => joined = joined.where(comparisonCol(c)))
-    rule.negatedAtoms.foreach { a =>
-      val neg    = atomBindings(a, catalog).distinct()
-      val shared = a.variables.map(_.name)
-      joined =
-        if (shared.nonEmpty) joined.join(neg, shared, "left_anti")
-        else joined.join(neg, lit(true), "left_anti") // ground negated goal
+    val compared = rule.comparisons.foldLeft(positive)((df, c) => df.where(comparisonCol(c)))
+    val joined = rule.negatedAtoms.foldLeft(compared) { (df, a) =>
+      df.join(atomBindings(a, catalog).distinct(), a.variables.map(_.name), "left_anti")
     }
     joined.select(rule.variables.map(v => col(v.name)): _*).distinct()
   }

@@ -61,79 +61,45 @@ object DerivationOps {
     annotate(removeExisting(bound, answers, unified), unified, catalog)
   }
 
-  /** Apply variable–variable comparisons (`θ_join`, paper §5.2) and any
-    * comparisons not already pushed into the per-variable domains.
+  /** Apply every comparison that [[varDomain]] did not push below: the
+    * variable–variable ones (`θ_join`, paper §5.2) and the constant–constant
+    * ones unification leaves behind, which Catalyst folds — a violated one
+    * empties the plan.
     */
   def applyJoinComparisons(bind: DataFrame, unified: Rule): DataFrame =
-    unified.comparisons.filter(_.isVarVar)
+    unified.comparisons.filterNot(_.isVarConst)
       .foldLeft(bind)((df, c) => df.where(DatalogEval.comparisonCol(c)))
-
-  /** Statically evaluate constant–constant comparisons left behind by
-    * unification. Returns false when any is violated (rule contributes
-    * nothing to the provenance of the question).
-    */
-  def groundComparisonsHold(unified: Rule): Boolean =
-    unified.comparisons.forall { c =>
-      (c.left, c.right) match {
-        case (Const(a), Const(b)) => evalCmp(a, c.op, b)
-        case _                    => true
-      }
-    }
-
-  private def evalCmp(a: Any, op: CmpOp, b: Any): Boolean = {
-    val cmpVal: Int = (a, b) match {
-      case (x: Number, y: Number) => java.lang.Double.compare(x.doubleValue, y.doubleValue)
-      case _                      => String.valueOf(a).compareTo(String.valueOf(b))
-    }
-    op match {
-      case CmpOp.Lt  => cmpVal < 0
-      case CmpOp.Leq => cmpVal <= 0
-      case CmpOp.Neq => cmpVal != 0
-      case CmpOp.Geq => cmpVal >= 0
-      case CmpOp.Gt  => cmpVal > 0
-      case CmpOp.Eq  => cmpVal == 0
-    }
-  }
 
   /** `Q_der` (paper §5.2 step 2): drop derivations whose head is an existing
     * answer, by anti-joining against `answers` (σ_t(Q), columns `c0..`) on
-    * the head variables that the p-tuple left unbound.
+    * the head variables that the p-tuple left unbound. A fully ground head
+    * has no such variable: the condition is `true`, and every derivation
+    * goes iff the answer exists.
     */
   def removeExisting(bind: DataFrame, answers: DataFrame, unified: Rule): DataFrame = {
-    val headVarPos = unified.headArgs.zipWithIndex.collect { case (v: Var, i) => (v, i) }
-    if (headVarPos.isEmpty) {
-      // Fully ground head: it either exists (all derivations removed) or not.
-      bind.join(answers, lit(true), "left_anti")
-    } else {
-      val cond = headVarPos
-        .map { case (v, i) => bind(v.name) === answers(s"c$i") }
-        .reduce(_ && _)
-      bind.join(answers, cond, "left_anti")
-    }
+    val cond = unified.headArgs.zipWithIndex
+      .collect { case (v: Var, i) => bind(v.name) === answers(s"c$i") }
+      .foldLeft(lit(true))(_ && _)
+    bind.join(answers, cond, "left_anti")
   }
 
   /** `Q_goals`/`Q_sample` annotation step (paper §5.2 step 3): left-outer
-    * join each body atom's (deduplicated) variable bindings and derive the
-    * boolean goal flag from marker existence — inverted for negated goals.
-    * Ground atoms (no variables after unification) are checked once,
-    * client-side. Output: input columns plus `g0..g(m-1)`.
+    * join each body atom's (deduplicated) variable bindings on its variables
+    * and derive the boolean goal flag from marker existence — inverted for
+    * negated goals. A ground atom's bindings have no column: one row if the
+    * tuple exists, none otherwise, joined to every derivation without a key.
+    * Output: input columns plus `g0..g(m-1)`.
     */
   def annotate(bind: DataFrame, unified: Rule, catalog: Catalog): DataFrame = {
     var df = bind
     val goalExprs = unified.atoms.zipWithIndex.map { case (atom, i) =>
       val marker = s"__h$i"
-      if (atom.variables.isEmpty) {
-        // Ground goal: single existence check, constant flag for every row.
-        val exists = !DatalogEval.atomBindings(atom.copy(negated = false), catalog).isEmpty
-        lit(exists != atom.negated).as(s"g$i")
-      } else {
-        val m = DatalogEval.atomBindings(atom.copy(negated = false), catalog)
-          .distinct()
-          .withColumn(marker, lit(1))
-        df = df.join(m, atom.variables.map(_.name), "left_outer")
-        val flag = if (atom.negated) col(marker).isNull else col(marker).isNotNull
-        flag.as(s"g$i")
-      }
+      val m = DatalogEval.atomBindings(atom.copy(negated = false), catalog)
+        .distinct()
+        .withColumn(marker, lit(1))
+      df = df.join(m, atom.variables.map(_.name), "left_outer")
+      val flag = if (atom.negated) col(marker).isNull else col(marker).isNotNull
+      flag.as(s"g$i")
     }
     val keep = bind.columns.map(col).toSeq ++ goalExprs
     df.select(keep: _*)

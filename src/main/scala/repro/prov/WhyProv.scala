@@ -14,8 +14,8 @@ object WhyProv {
 
   /** Annotated why-provenance derivations of one rule for p-tuple `t`:
     * columns = unbound variables of the unified rule + `g0..g(m-1)` (all
-    * true). None when the rule cannot match `t` or its ground comparisons
-    * are violated.
+    * true). None only when the rule cannot match `t` (a head clash); a
+    * violated ground comparison gives an empty frame.
     */
   def derivations(
       spark: SparkSession,
@@ -24,23 +24,16 @@ object WhyProv {
       catalog: Catalog,
       t: PTuple,
   ): Option[DataFrame] =
-    Unify.unify(rule, t)
-      .filter(u => DerivationOps.groundComparisonsHold(u.rule))
-      .map(u => successful(spark, u, catalog))
+    Unify.unify(rule, t).map(u => successful(u, catalog))
 
-  /** The annotated successful derivations of the unified rule `u`. A ground
-    * rule has the one empty valuation, which succeeds iff every goal holds
-    * ([[DatalogEval.bindings]] needs a variable).
+  /** The annotated successful derivations of the unified rule `u`: its
+    * [[DatalogEval.bindings]], every goal flag true. A ground rule has one
+    * valuation, the empty one, which succeeds iff every goal and comparison
+    * holds.
     */
-  def successful(spark: SparkSession, u: Unify.Unified, catalog: Catalog): DataFrame = {
-    val goals = DerivationOps.goalCols(u.rule.atoms.size)
-    if (u.unboundVars.isEmpty)
-      DerivationOps.annotate(DerivationOps.fullSpace(spark, Nil), u.rule, catalog)
-        .where(goals.map(col).reduce(_ && _))
-    else
-      DatalogEval.bindings(u.rule, catalog)
-        .select(u.unboundVars.map(v => col(v.name)) ++ goals.map(g => lit(true).as(g)): _*)
-  }
+  def successful(u: Unify.Unified, catalog: Catalog): DataFrame =
+    DatalogEval.bindings(u.rule, catalog).select(u.unboundVars.map(v => col(v.name)) ++
+      DerivationOps.goalCols(u.rule.atoms.size).map(g => lit(true).as(g)): _*)
 }
 
 /** Exhaustive why-not enumeration — the paper's FULL baseline (§9.1) and
@@ -52,8 +45,9 @@ object WhyProv {
 object FullWhyNot {
 
   /** All annotated derivations in Whynot(Q, D, t) contributed by `rule`.
-    * Columns = unbound variables + `g0..g(m-1)`. None when the rule cannot
-    * match `t` or its ground comparisons are violated.
+    * Columns = unbound variables + `g0..g(m-1)`. None only when the rule
+    * cannot match `t` (a head clash); a violated ground comparison gives an
+    * empty frame.
     */
   def derivations(
       spark: SparkSession,
@@ -62,11 +56,9 @@ object FullWhyNot {
       catalog: Catalog,
       t: PTuple,
   ): Option[DataFrame] =
-    Unify.unify(rule, t)
-      .filter(u => DerivationOps.groundComparisonsHold(u.rule))
-      .map { u =>
-        val domains = u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
-        DerivationOps.whynotDerivations(DerivationOps.fullSpace(spark, domains),
-          DatalogEval.restrictedAnswers(program, catalog, t), catalog, u.rule)
-      }
+    Unify.unify(rule, t).map { u =>
+      val domains = u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
+      DerivationOps.whynotDerivations(DerivationOps.fullSpace(spark, domains),
+        DatalogEval.restrictedAnswers(program, catalog, t), catalog, u.rule)
+    }
 }

@@ -113,11 +113,11 @@ object BatchSampler {
   /** The provenance of question `pq`: the sample of every rule of `program`
     * that contributes derivations, in rule order — the one entry point every
     * pipeline stage gets its samples through. Each rule is unified with the
-    * p-tuple and its ground comparisons checked once; then its why
-    * provenance is captured exactly, or its why-not provenance sampled (FULL
-    * or batch-sampled). A rule contributes nothing on a head clash, a
-    * violated ground comparison, an empty domain, no missing answers, or an
-    * empty result.
+    * p-tuple; then its why provenance is captured exactly, or its why-not
+    * provenance sampled (FULL or batch-sampled). The comparisons and goals
+    * unification leaves ground stay in the rule's plan like any other, so a
+    * rule contributes nothing on a head clash, an empty domain, no missing
+    * answers, or an empty result — a violated ground comparison among them.
     *
     * It owns every cache the question makes — σ_t(Q) (why-not only, cached
     * and counted once), the variable domains the rules of a union share, and
@@ -149,10 +149,9 @@ object BatchSampler {
                           pq: ProvQuestion, cfg: Config): Vector[RuleSample] = {
     val held = mutable.ArrayBuffer.empty[DataFrame]
     def cached(df: DataFrame): DataFrame = { held += df; df.cache() }
-    val unified = rules.toVector.flatMap(r =>
-      Unify.unify(r, pq.tuple).filter(u => DerivationOps.groundComparisonsHold(u.rule)).map(r -> _))
+    val unified = rules.toVector.flatMap(r => Unify.unify(r, pq.tuple).map(r -> _))
     try pq.qtype match {
-      case Why => unified.flatMap { case (r, u) => why(spark, r, u, catalog, cfg, cached) }
+      case Why => unified.flatMap { case (r, u) => why(r, u, catalog, cfg, cached) }
       case Whynot =>
         val answers   = cached(DatalogEval.restrictedAnswers(program, catalog, pq.tuple))
         val nExisting = answers.count()
@@ -178,12 +177,11 @@ object BatchSampler {
     // p_notProv: fraction of the space deriving an existing answer matching t
     // (paper §5.3). #derivations per existing answer = Π over existential
     // unbound vars of |D_X|, so p_notProv = nExisting / Π over head-unbound
-    // vars of |D_X|.
-    val headUnbound = u.rule.headArgs.collect { case v: Var => v }.distinct
-    val headSpace   = headUnbound.map(v => domSize(v).toDouble).product
-    val pNotProv =
-      if (headUnbound.isEmpty) { if (nExisting > 0) 1.0 else 0.0 }
-      else math.min(1.0, nExisting / headSpace)
+    // vars of |D_X|. A fully ground head makes that product 1, and
+    // p_notProv 1 or 0.
+    val headSpace = u.rule.headArgs.collect { case v: Var => v }.distinct
+      .map(v => domSize(v).toDouble).product
+    val pNotProv  = math.min(1.0, nExisting / headSpace)
 
     // θ_join selectivity (paper §5.3 "Handling Predicates").
     val sel = u.rule.comparisons.filter(_.isVarVar).map { c =>
@@ -226,9 +224,9 @@ object BatchSampler {
     * derivations exactly (PUG instrumentation, paper §4) and keep `n_S` of
     * them uniformly.
     */
-  private def why(spark: SparkSession, rule: Rule, u: Unify.Unified, catalog: Catalog,
-                  cfg: Config, cached: DataFrame => DataFrame): Option[RuleSample] = {
-    val all   = cached(WhyProv.successful(spark, u, catalog))
+  private def why(rule: Rule, u: Unify.Unified, catalog: Catalog, cfg: Config,
+                  cached: DataFrame => DataFrame): Option[RuleSample] = {
+    val all   = cached(WhyProv.successful(u, catalog))
     val total = all.count()
     val exact = total <= cfg.nS
     if (total == 0) None

@@ -1,5 +1,7 @@
 package repro
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{CacheEntries, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -20,6 +22,22 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     */
   def cacheState: (Set[Int], Int) =
     (spark.sparkContext.getPersistentRDDs.keySet.toSet, CacheEntries(spark))
+
+  /** The Spark jobs `body` starts. */
+  def jobsOf[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    var jobs = 0
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized(jobs += 1)
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val a = body
+      ListenerBusDrain(sc)
+      (a, listener.synchronized(jobs))
+    } finally sc.removeSparkListener(listener)
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

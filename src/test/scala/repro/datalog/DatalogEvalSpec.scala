@@ -210,6 +210,14 @@ class DatalogEvalSpec extends SparkSpec {
       Vector(Atom("R", Vector(Var("X"), Var("Y"))),
         Atom("R", Vector(Const(5L), Const(4L)), negated = true))))
     assert(DatalogEval.answers(rule2, rex).count() == 3) // distinct sources 1, 2, 5
+    // Fully ground rules: Q(1,2) :- R(1,2) holds; Q(5,5) :- R(5,5), ¬R(5,5) cannot.
+    val c = (n: Long) => Const(n)
+    val held = Program(Rule("g1", "Q", Vector(c(1L), c(2L)), Vector(Atom("R", Vector(c(1L), c(2L))))))
+    assert(DatalogEval.answers(held, rex).collect().map(r => (r.getLong(0), r.getLong(1))).toSet ==
+      Set((1L, 2L)))
+    val failed = Program(Rule("g2", "Q", Vector(c(5L), c(5L)), Vector(Atom("R", Vector(c(5L), c(5L))),
+      Atom("R", Vector(c(5L), c(5L)), negated = true))))
+    assert(DatalogEval.answers(failed, rex).isEmpty)
   }
 
   test("catalog validation catches arity mismatches") {

@@ -186,9 +186,11 @@ class ProvenanceSpec extends SparkSpec {
 
   test("ground derivation helper: violated comparison yields empty") {
     val t  = PTuple("Qex", Vector(Const(5L), Const(4L))) // 5 < 4 is false
-    assert(FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, t).isEmpty)
-    // The same on a fully ground rule: 5 < 3 is false.
-    assert(FullWhyNot.derivations(spark, qc, qc.rules.head, rex, tuple("Qc", 5L, 3L)).isEmpty)
+    assert(FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, t).get.isEmpty)
+    // The same on a fully ground rule: 5 < 3 is false, and so is 5 < 5 for
+    // the existing R(5,5).
+    assert(FullWhyNot.derivations(spark, qc, qc.rules.head, rex, tuple("Qc", 5L, 3L)).get.isEmpty)
+    assert(WhyProv.derivations(spark, qc, qc.rules.head, rex, tuple("Qc", 5L, 5L)).get.isEmpty)
   }
 
   test("why-not of an existing answer is empty") {
@@ -212,14 +214,32 @@ class ProvenanceSpec extends SparkSpec {
     assert(x == Set(1L, 2L))
   }
 
-  test("groundComparisonsHold evaluates numeric and string constants") {
-    def cmp(a: Any, op: CmpOp, b: Any) =
-      Rule("t", "Q", Vector(Var("X")), Vector(Atom("R", Vector(Var("X"), Var("Y")))),
-        Vector(Comparison(Const(a), op, Const(b))))
-    assert(DerivationOps.groundComparisonsHold(cmp(3L, CmpOp.Lt, 4L)))
-    assert(!DerivationOps.groundComparisonsHold(cmp(5L, CmpOp.Lt, 4L)))
-    assert(DerivationOps.groundComparisonsHold(cmp("a", CmpOp.Neq, "b")))
-    assert(DerivationOps.groundComparisonsHold(cmp(4L, CmpOp.Geq, 4L)))
-    assert(DerivationOps.groundComparisonsHold(cmp("2016-11-09", CmpOp.Lt, "2016-11-10")))
+  test("ground comparisons evaluate constants in the plan") {
+    // A rule whose one comparison is ground: its bindings are all of R or none.
+    def holds(a: Any, op: CmpOp, b: Any) =
+      !DatalogEval.bindings(Rule("t", "Q", Vector(Var("X")), Vector(Atom("R", Vector(Var("X"), Var("Y")))),
+        Vector(Comparison(Const(a), op, Const(b)))), rex).isEmpty
+    assert(holds(3L, CmpOp.Lt, 4L))
+    assert(!holds(5L, CmpOp.Lt, 4L))
+    assert(holds("a", CmpOp.Neq, "b"))
+    assert(holds(4L, CmpOp.Geq, 4L))
+    assert(holds("2016-11-09", CmpOp.Lt, "2016-11-10"))
+    // A number and a numeric string compare as numbers: 10 < 9 is false.
+    assert(!holds(10L, CmpOp.Lt, "9"))
+  }
+
+  test("building a provenance plan starts no Spark job") {
+    // Q(I) :- VALID(I), LICENSE(I,B,G,C,T,L) for Q(6): VALID(6) is a ground goal.
+    val cat = Datasets.license(spark, 200)
+    val q = Program(Rule("q", "Q", Vector(Var("I")), Vector(Atom("VALID", Vector(Var("I"))),
+      Atom("LICENSE", Vector("I", "B", "G", "C", "T", "L").map(Var(_))))))
+    val t = PTuple("Q", Vector(Const(6L)))
+    val ((whynot, why), jobs) = jobsOf((
+      FullWhyNot.derivations(spark, q, q.rules.head, cat, t).get,
+      WhyProv.derivations(spark, q, q.rules.head, cat, t).get))
+    assert(jobs == 0)
+    // License 6 exists and is valid: Q(6) is an answer with one derivation.
+    assert(whynot.isEmpty)
+    assert(goalRows(why.select("g0", "g1")) == Seq(Seq(true, true)))
   }
 }

@@ -44,8 +44,7 @@ class Fig10QualityErrorBench extends SparkSpec {
 
   test("Fig 10: r1 why over license 10K — sampled cp vs exact cp") {
     val cat  = Datasets.license(spark, 10000)
-    val full = WhyProv.derivations(spark, Queries.r1, Queries.r1.rules.head,
-      cat, Queries.whyR1.tuple).get.cache()
+    val full = WhyProv.derivations(Queries.r1.rules.head, cat, Queries.whyR1.tuple).get.cache()
     val varCols  = Seq("I", "B", "G", "T")
     val goalCols = Seq("g0", "g1")
     val rows = for {

@@ -34,7 +34,7 @@ object ArtemisSim {
     val perRule = program.rules.flatMap { r =>
       val dfOpt = pq.qtype match {
         case Whynot => FullWhyNot.derivations(spark, program, r, catalog, pq.tuple)
-        case Why    => WhyProv.derivations(spark, program, r, catalog, pq.tuple)
+        case Why    => WhyProv.derivations(r, catalog, pq.tuple)
       }
       dfOpt.map { df =>
         val nVars = df.columns.length - r.atoms.size // goal columns come last

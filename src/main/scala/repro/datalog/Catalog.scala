@@ -9,8 +9,10 @@ import org.apache.spark.sql.functions.col
   * The paper (§5.2) assumes the user specifies the domain `D_A` of every
   * attribute `A` as a unary query; the "reasonable default" is the set of
   * distinct values occurring in that attribute (active domain, §2.1). We
-  * mirror that: `domain(rel, pos)` defaults to the distinct values of the
-  * column but can be overridden per attribute.
+  * mirror that: `domain(rel, pos)` defaults to the column's values but can
+  * be overridden per attribute. Either is returned as it is: NULLs and
+  * duplicates are removed only by [[repro.prov.DerivationOps.varDomain]],
+  * once over all the attributes a variable binds.
   */
 final class Catalog(
     relations: Map[String, DataFrame],
@@ -27,15 +29,10 @@ final class Catalog(
   def arity(name: String): Int = relation(name).columns.length
 
   /** Domain `D_A` for attribute at position `pos` (0-based) of `rel`:
-    * a single-column DataFrame named "v".
+    * a single-column DataFrame named "v", NULLs and duplicates included.
     */
   def domain(rel: String, pos: Int): DataFrame =
-    domainOverrides.get((rel, pos)) match {
-      case Some(df) => df.toDF("v")
-      case None =>
-        val c = columns(rel)(pos)
-        relation(rel).select(col(c).as("v")).where(col("v").isNotNull).distinct()
-    }
+    domainOverrides.getOrElse((rel, pos), relation(rel).select(col(columns(rel)(pos)))).toDF("v")
 
   def withDomain(rel: String, pos: Int, dom: DataFrame): Catalog =
     new Catalog(relations, domainOverrides + ((rel, pos) -> dom))

@@ -20,22 +20,21 @@ object DerivationOps {
   /** The paper's per-variable domain: the union of the domains of all
     * attributes the variable is bound to (`attrs(X)`), with predicates that
     * compare the variable to a constant pushed below (paper §5.2, `Q_X`
-    * before SAMPLE). Single column named after the variable.
+    * before SAMPLE). Single column named after the variable. The only place
+    * a domain loses its NULLs and duplicates: once, over the whole union.
     */
   def varDomain(unified: Rule, v: Var, catalog: Catalog): DataFrame = {
     val occ = unified.occurrences(v)
     require(occ.nonEmpty, s"variable $v has no relation occurrence in ${unified.name}")
-    val doms = occ.map { case (ai, ti) =>
-      catalog.domain(unified.atoms(ai).relation, ti)
-    }
-    var dom = doms.reduce(_.union(_)).distinct().toDF(v.name)
+    val union = occ.map { case (ai, ti) => catalog.domain(unified.atoms(ai).relation, ti) }
+      .reduce(_.union(_)).toDF(v.name)
+    val dom = union.where(col(v.name).isNotNull).distinct()
     // θ_X: constant comparisons involving only this variable.
-    unified.comparisons.filter(c => c.isVarConst && c.variables == Vector(v))
-      .foreach(c => dom = dom.where(DatalogEval.comparisonCol(c)))
+    val thetaX = unified.comparisons.filter(c => c.isVarConst && c.variables == Vector(v))
     // Single partition: domains are small, and a CartesianProduct (the FULL
     // enumeration cross-joins them with broadcast joins disabled) multiplies
     // its inputs' partition counts — 8^n partitions otherwise.
-    dom.coalesce(1)
+    thetaX.foldLeft(dom)((d, c) => d.where(DatalogEval.comparisonCol(c))).coalesce(1)
   }
 
   /** The derivation space of `unified` enumerated in full: the cross
@@ -66,7 +65,7 @@ object DerivationOps {
     * ones unification leaves behind, which Catalyst folds — a violated one
     * empties the plan.
     */
-  def applyJoinComparisons(bind: DataFrame, unified: Rule): DataFrame =
+  private def applyJoinComparisons(bind: DataFrame, unified: Rule): DataFrame =
     unified.comparisons.filterNot(_.isVarConst)
       .foldLeft(bind)((df, c) => df.where(DatalogEval.comparisonCol(c)))
 
@@ -76,7 +75,7 @@ object DerivationOps {
     * has no such variable: the condition is `true`, and every derivation
     * goes iff the answer exists.
     */
-  def removeExisting(bind: DataFrame, answers: DataFrame, unified: Rule): DataFrame = {
+  private def removeExisting(bind: DataFrame, answers: DataFrame, unified: Rule): DataFrame = {
     val cond = unified.headArgs.zipWithIndex
       .collect { case (v: Var, i) => bind(v.name) === answers(s"c$i") }
       .foldLeft(lit(true))(_ && _)
@@ -90,7 +89,7 @@ object DerivationOps {
     * tuple exists, none otherwise, joined to every derivation without a key.
     * Output: input columns plus `g0..g(m-1)`.
     */
-  def annotate(bind: DataFrame, unified: Rule, catalog: Catalog): DataFrame = {
+  private def annotate(bind: DataFrame, unified: Rule, catalog: Catalog): DataFrame = {
     var df = bind
     val goalExprs = unified.atoms.zipWithIndex.map { case (atom, i) =>
       val marker = s"__h$i"

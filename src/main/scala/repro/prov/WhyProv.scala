@@ -17,13 +17,7 @@ object WhyProv {
     * true). None only when the rule cannot match `t` (a head clash); a
     * violated ground comparison gives an empty frame.
     */
-  def derivations(
-      spark: SparkSession,
-      program: Program,
-      rule: Rule,
-      catalog: Catalog,
-      t: PTuple,
-  ): Option[DataFrame] =
+  def derivations(rule: Rule, catalog: Catalog, t: PTuple): Option[DataFrame] =
     Unify.unify(rule, t).map(u => successful(u, catalog))
 
   /** The annotated successful derivations of the unified rule `u`: its

@@ -23,7 +23,6 @@ object Summarizer {
   final case class StageTimes(sampleMs: Long, lcaMs: Long, matchMs: Long, topkMs: Long)
 
   final case class Result(
-      question: ProvQuestion,
       summary: TopK.Summary,
       allPatterns: Vector[Pattern],
       ruleSamples: Vector[BatchSampler.RuleSample],
@@ -56,44 +55,19 @@ object Summarizer {
     }
   }
 
-  /** The pattern pool the top-k search draws from, with the per-rule
-    * samples it came from; `times.topkMs` is 0.
-    */
-  final case class Pool(
-      ruleSamples: Vector[BatchSampler.RuleSample],
-      patterns: Vector[Pattern],
-      times: StageTimes,
-  )
-
   private def timed[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val a  = body
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** The pattern stage of [[summarize]]: the question's provenance samples,
-    * drawn and collected by [[BatchSampler.sample]], which leaves no cache
-    * behind, then their [[patterns]].
-    */
-  def pool(
-      spark: SparkSession,
-      program: Program,
-      catalog: Catalog,
-      pq: ProvQuestion,
-      cfg: Config = Config(),
-  ): Pool = {
-    val (samples, sampleMs) = timed(BatchSampler.sample(spark, program, catalog, pq, cfg.sampler))
-    val p = patterns(samples)
-    p.copy(times = p.times.copy(sampleMs = sampleMs))
-  }
-
   /** Stages 2–3 for samples already drawn, on the driver and without a
     * Spark job: LCA candidates per goal-vector group of each rule's rows,
     * then their match counts, as patterns whose cp is weighted by the rule's
-    * share of the estimated |Prov(Φ)|. `times` holds only `lcaMs` (the split
+    * share of the estimated |Prov(Φ)|. The times hold only `lcaMs` (the split
     * and the candidates) and `matchMs` (the counts).
     */
-  def patterns(samples: Vector[BatchSampler.RuleSample]): Pool = {
+  def patterns(samples: Vector[BatchSampler.RuleSample]): (Vector[Pattern], StageTimes) = {
     val totalProv = samples.map(_.provEstimate).sum
     val perRule = samples.map { s =>
       val (cands, lcaMs) = timed {
@@ -104,13 +78,13 @@ object Summarizer {
       }
       (ps, lcaMs, matchMs)
     }
-    Pool(samples, perRule.flatMap(_._1),
-      StageTimes(0L, perRule.map(_._2).sum, perRule.map(_._3).sum, 0L))
+    (perRule.flatMap(_._1), StageTimes(0L, perRule.map(_._2).sum, perRule.map(_._3).sum, 0L))
   }
 
   /** Compute the top-k provenance summary for question `pq` over `program`
-    * and `catalog`: the pattern [[pool]], then the client-side top-k
-    * best-first search.
+    * and `catalog`: the question's samples, drawn and collected by
+    * [[BatchSampler.sample]], which leaves no cache behind; their
+    * [[patterns]]; then the client-side top-k best-first search over them.
     */
   def summarize(
       spark: SparkSession,
@@ -119,10 +93,9 @@ object Summarizer {
       pq: ProvQuestion,
       cfg: Config = Config(),
   ): Result = {
-    val p = pool(spark, program, catalog, pq, cfg)
-    val (summary, topkMs) = timed {
-      TopK.summarize(p.patterns, cfg.k, cfg.maxPatterns, cfg.maxPops)
-    }
-    Result(pq, summary, p.patterns, p.ruleSamples, p.times.copy(topkMs = topkMs))
+    val (samples, sampleMs) = timed(BatchSampler.sample(spark, program, catalog, pq, cfg.sampler))
+    val (pool, times)       = patterns(samples)
+    val (summary, topkMs)   = timed(TopK.summarize(pool, cfg.k, cfg.maxPatterns, cfg.maxPops))
+    Result(summary, pool, samples, times.copy(sampleMs = sampleMs, topkMs = topkMs))
   }
 }

@@ -112,12 +112,7 @@ object TopK {
     val ps = all.distinct.sorted(rank).take(maxPatterns)
     val n = ps.size
     if (n == 0) return Summary(Vector.empty, 0, 0, 0, 0, 0, optimal = true, 0)
-    if (n <= k) {
-      val cpL = cpLowerBoundExact(ps); val cpH = cpUpperBound(ps)
-      val inf = ps.map(_.info).sum / n
-      return Summary(ps, Pattern.harmonic(cpL, inf), Pattern.harmonic(cpH, inf),
-        cpL, cpH, inf, optimal = true, 0)
-    }
+    if (n <= k) return report(ps, optimal = true, 0)
 
     // Suffix maxima for admissible completion bounds: any extension of a
     // candidate ending at index l draws from indices > l.
@@ -201,10 +196,16 @@ object TopK {
 
     val winner  = if (optimal) incumbent
                   else if (mid(bestMid) > mid(incumbent)) bestMid else incumbent
-    val members = winner.idxs.map(ps)
+    report(winner.idxs.map(ps), optimal, pops) // a complete candidate: k members
+  }
+
+  /** The reported summary of `members`: the exact `S_lb` and `S_ub` bounds,
+    * the mean info, and the scores they give.
+    */
+  private def report(members: Vector[Pattern], optimal: Boolean, pops: Long): Summary = {
     val cpL = cpLowerBoundExact(members)
     val cpH = cpUpperBound(members)
-    val inf = members.map(_.info).sum / k
+    val inf = members.map(_.info).sum / members.size
     Summary(members, Pattern.harmonic(cpL, inf), Pattern.harmonic(cpH, inf),
       cpL, cpH, inf, optimal, pops)
   }

@@ -1,10 +1,12 @@
 package repro.prov
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{Datasets, Queries}
 import repro.datalog._
+import repro.sampling.BatchSampler
 
 /** Ground-truth provenance checks straight from the paper's examples:
   * Fig 1/Ex 1 (2160 why-not derivations for AL(N, shared)), the Fig 3
@@ -33,8 +35,7 @@ class ProvenanceSpec extends SparkSpec {
   // ------------------------------------------------------------ why capture
 
   test("why derivations of Qex(X,4) are the successful derivations of (1,4)") {
-    val df = WhyProv.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex,
-      PTuple("Qex", Vector(Var("X"), Const(4L)))).get
+    val df = WhyProv.derivations(Queries.rEx.rules.head, rex, PTuple("Qex", Vector(Var("X"), Const(4L)))).get
     val got = df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(got == Set((1L, 2L))) // X=1, Z=2 — the only successful derivation
     assert(df.columns.toSeq == Seq("X", "Z", "g0", "g1"))
@@ -42,21 +43,20 @@ class ProvenanceSpec extends SparkSpec {
   }
 
   test("why derivations of the airbnb query match its two answers") {
-    val df = WhyProv.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
+    val df = WhyProv.derivations(Queries.airbnb.rules.head,
       airbnb, PTuple("AL", Vector(Var("N"), Var("R")))).get
     // Successful: cozy homebase (2445, $45) and modern view (2332, $350).
     assert(df.count() == 2)
   }
 
   test("why derivations respect a constant-bound head") {
-    val df = WhyProv.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
+    val df = WhyProv.derivations(Queries.airbnb.rules.head,
       airbnb, PTuple("AL", Vector(Const("modern view"), Var("R")))).get
     assert(df.count() == 1)
   }
 
   test("why provenance of an unmatched p-tuple is empty") {
-    val df = WhyProv.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, tAirbnb).get
+    val df = WhyProv.derivations(Queries.airbnb.rules.head, airbnb, tAirbnb).get
     assert(df.isEmpty) // no shared room is an answer
   }
 
@@ -190,7 +190,7 @@ class ProvenanceSpec extends SparkSpec {
     // The same on a fully ground rule: 5 < 3 is false, and so is 5 < 5 for
     // the existing R(5,5).
     assert(FullWhyNot.derivations(spark, qc, qc.rules.head, rex, tuple("Qc", 5L, 3L)).get.isEmpty)
-    assert(WhyProv.derivations(spark, qc, qc.rules.head, rex, tuple("Qc", 5L, 5L)).get.isEmpty)
+    assert(WhyProv.derivations(qc.rules.head, rex, tuple("Qc", 5L, 5L)).get.isEmpty)
   }
 
   test("why-not of an existing answer is empty") {
@@ -201,7 +201,7 @@ class ProvenanceSpec extends SparkSpec {
     // its why provenance is the one successful derivation.
     val g = tuple("Qg", 1L, 2L)
     assert(FullWhyNot.derivations(spark, qg, qg.rules.head, rex, g).get.isEmpty)
-    assert(goalRows(WhyProv.derivations(spark, qg, qg.rules.head, rex, g).get) == Seq(Seq(true)))
+    assert(goalRows(WhyProv.derivations(qg.rules.head, rex, g).get) == Seq(Seq(true)))
   }
 
   test("varDomain unions the domains of all attributes a variable binds to") {
@@ -212,6 +212,26 @@ class ProvenanceSpec extends SparkSpec {
     // X occurs at R.A only, and X<4 is pushed below: {1,2,5} ∩ (<4) = {1,2}.
     val x = DerivationOps.varDomain(u.rule, Var("X"), rex).collect().map(_.getLong(0)).toSet
     assert(x == Set(1L, 2L))
+    // The union is deduplicated once: one aggregate, not one per attribute
+    // and another over their union.
+    val plan = DerivationOps.varDomain(u.rule, Var("Z"), rex).queryExecution.optimizedPlan
+    assert(plan.collect { case a: Aggregate => a }.size == 1, plan)
+    // A NULL in an overridden attribute domain is no value: it reaches no
+    // variable domain, no FULL derivation and no sample row.
+    import spark.implicits._
+    val withNull = rex.withDomain("R", 0, Seq(Some(1L), None, Some(2L), Some(5L)).toDF("v"))
+    val t   = PTuple("Qex", Vector(Var("X"), Var("Y")))
+    val all = Unify.unify(Queries.rEx.rules.head, t).get
+    def column(df: DataFrame) = df.collect().toSeq.map(_.get(0))
+    val doms = all.unboundVars.map(v => v.name -> column(DerivationOps.varDomain(all.rule, v, withNull))).toMap
+    assert(doms.map { case (v, d) => v -> d.toSet } ==
+      Map("X" -> Set(1L, 2L, 5L), "Z" -> (1L to 6L).toSet, "Y" -> (2L to 6L).toSet))
+    assert(doms.values.forall(d => d.distinct.size == d.size))
+    val full    = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, withNull, t).get.collect()
+    val sampled = BatchSampler.sample(spark, Queries.rEx, withNull, ProvQuestion(t, Whynot),
+      BatchSampler.Config(nS = 10)).flatMap(_.rows)
+    assert(full.nonEmpty && sampled.size == 10)
+    assert(!(full ++ sampled).exists(_.anyNull))
   }
 
   test("ground comparisons evaluate constants in the plan") {
@@ -236,7 +256,7 @@ class ProvenanceSpec extends SparkSpec {
     val t = PTuple("Q", Vector(Const(6L)))
     val ((whynot, why), jobs) = jobsOf((
       FullWhyNot.derivations(spark, q, q.rules.head, cat, t).get,
-      WhyProv.derivations(spark, q, q.rules.head, cat, t).get))
+      WhyProv.derivations(q.rules.head, cat, t).get))
     assert(jobs == 0)
     // License 6 exists and is valid: Q(6) is an answer with one derivation.
     assert(whynot.isEmpty)

@@ -2,7 +2,6 @@ package repro.data
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.SynthData
 import repro.datalog.Catalog
 
 /** Synthetic stand-ins for the paper's evaluation datasets (§9), at
@@ -18,7 +17,9 @@ import repro.datalog.Catalog
   *    constants still appear in the active domain.
   *
   * Numeric columns are LongType and categorical columns StringType
-  * throughout, so witness-row unions and the DuckDB oracle stay simple.
+  * throughout, so witness-row unions and the DuckDB oracle stay simple;
+  * only TPC-H-lite keeps TPC-H's decimals, line numbers and dates as
+  * double, int and date columns.
   */
 object Datasets {
 
@@ -277,22 +278,48 @@ object Datasets {
 
   // ------------------------------------------------------------------ tpc-h
 
-  /** TPC-H-lite (r10): CUSTOMER(5), ORDERS(5), LINEITEM(10) — built on the
-    * provided [[SynthData]] generators, with a customer-name column added
-    * (the paper's r10 projects C_NAME). See DESIGN.md: the full-TPC-H
-    * 8/9/16-column schema is narrowed to the lite schema.
+  /** TPC-H-lite (r10): CUSTOMER(5), ORDERS(5), LINEITEM(10), with 150K
+    * customers, 1.5M orders and 6M line items per unit of `sf`, and a
+    * customer-name column (the paper's r10 projects C_NAME). See DESIGN.md:
+    * the full-TPC-H 8/9/16-column schema is narrowed to the lite schema.
     */
   def tpch(spark: SparkSession, sf: Double): Catalog = {
-    val customer = SynthData.customer(spark, sf).select(
-      col("c_custkey"),
-      concat(lit("customer"), col("c_custkey")).as("c_name"),
-      col("c_nationkey").cast("long").as("c_nationkey"),
-      col("c_acctbal"), col("c_mktsegment"))
-    Catalog(
-      "CUSTOMER" -> customer,
-      "ORDERS"   -> SynthData.orders(spark, sf),
-      "LINEITEM" -> SynthData.lineitem(spark, sf),
+    def rows(perSf: Long): Long = math.max(1L, (perSf * sf).toLong)
+    val (nCust, nOrders, nLines) = (rows(150000L), rows(1500000L), rows(6000000L))
+    val id = col("id")
+    def key(seed: Int, n: Long): Column = hmod(id, seed, n) + 1
+    def cents(seed: Int, from: Long, span: Long): Column =
+      round(lit(from.toDouble) + hmod(id, seed, span * 100) / 100.0, 2)
+    def day(seed: Int, span: Long): Column =
+      date_add(lit("1992-01-01").cast("date"), hmod(id, seed, span).cast("int"))
+    val customer = spark.range(1, nCust + 1).select(
+      id.as("c_custkey"),
+      concat(lit("customer"), id).as("c_name"),
+      hmod(id, 701, 25).as("c_nationkey"),
+      cents(702, -1000L, 10000L).as("c_acctbal"),
+      pick(id, 703, Seq("BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"))
+        .as("c_mktsegment"),
     )
+    val orders = spark.range(1, nOrders + 1).select(
+      id.as("o_orderkey"),
+      key(711, nCust).as("o_custkey"),
+      pick(id, 712, Seq("O", "F", "P")).as("o_orderstatus"),
+      cents(713, 1000L, 500000L).as("o_totalprice"),
+      day(714, 2406).as("o_orderdate"),
+    )
+    val lineitem = spark.range(0, nLines).select(
+      key(721, nOrders).as("l_orderkey"),
+      key(722, rows(200000L)).as("l_partkey"),
+      key(723, 7).cast("int").as("l_linenumber"),
+      key(724, 50).cast("double").as("l_quantity"),
+      cents(725, 900L, 90000L).as("l_extendedprice"),
+      (hmod(id, 726, 11) / 100.0).as("l_discount"),
+      (hmod(id, 727, 9) / 100.0).as("l_tax"),
+      pick(id, 728, Seq("N", "R", "A")).as("l_returnflag"),
+      pick(id, 729, Seq("O", "F")).as("l_linestatus"),
+      day(730, 2557).as("l_shipdate"),
+    )
+    Catalog("CUSTOMER" -> customer, "ORDERS" -> orders, "LINEITEM" -> lineitem)
   }
 
   // --------------------------------------------------- Artemis crime/witness

@@ -80,7 +80,7 @@ object DatalogEval {
     }
     val compared = rule.comparisons.foldLeft(positive)((df, c) => df.where(comparisonCol(c)))
     val joined = rule.negatedAtoms.foldLeft(compared) { (df, a) =>
-      df.join(atomBindings(a, catalog).distinct(), a.variables.map(_.name), "left_anti")
+      df.join(atomBindings(a, catalog), a.variables.map(_.name), "left_anti")
     }
     joined.select(rule.variables.map(v => col(v.name)): _*).distinct()
   }

@@ -44,8 +44,9 @@ object BatchSampler {
       seed: Long = 42L,
       nOSCap: Long = 2_000_000L,
       /** Up to `fullEnumFactor * nS` valuations in the space (and always for
-        * a space of one, such as a ground rule's), skip sampling and
-        * enumerate the space exactly — cheaper and exact.
+        * a space of at most one, such as a ground rule's or an empty
+        * domain's), skip sampling and enumerate the space exactly — cheaper
+        * and exact.
         */
       fullEnumFactor: Double = 4.0,
   )
@@ -114,10 +115,13 @@ object BatchSampler {
     * that contributes derivations, in rule order — the one entry point every
     * pipeline stage gets its samples through. Each rule is unified with the
     * p-tuple; then its why provenance is captured exactly, or its why-not
-    * provenance sampled (FULL or batch-sampled). The comparisons and goals
-    * unification leaves ground stay in the rule's plan like any other, so a
-    * rule contributes nothing on a head clash, an empty domain, no missing
-    * answers, or an empty result — a violated ground comparison among them.
+    * provenance enumerated or batch-sampled — the space's size alone picks
+    * which. The comparisons and goals unification leaves ground stay in the
+    * rule's plan like any other, so a rule contributes nothing on a head
+    * clash or an empty result: an empty domain, no missing answers and a
+    * violated ground comparison among them. A space too large to enumerate
+    * also contributes nothing when its §5.3 estimate of the why-not share
+    * is 0.
     *
     * It owns every cache the question makes — σ_t(Q) (why-not only, cached
     * and counted once), the variable domains the rules of a union share, and
@@ -160,25 +164,33 @@ object BatchSampler {
   }
 
   /** Why-not provenance of the unified rule `u`: [[DerivationOps.whynotDerivations]]
-    * over the full space when it is small (a ground rule's one valuation
-    * included), else over the batch sample of §5.2. `answers` is σ_t(Q), of
-    * `nExisting` rows.
+    * over the full space when it holds at most `max(1, fullEnumFactor · nS)`
+    * valuations (a ground rule's one valuation and an empty domain's none
+    * included), else over the batch sample of §5.2, sized by the §5.3
+    * estimate. `answers` is σ_t(Q), of `nExisting` rows.
     */
   private def whynot(spark: SparkSession, rule: Rule, u: Unify.Unified, catalog: Catalog,
                      answers: DataFrame, nExisting: Long, cfg: Config,
                      cached: DataFrame => DataFrame): Option[RuleSample] = {
-    val frames = u.unboundVars.map(v => cached(DerivationOps.varDomain(u.rule, v, catalog)))
-    // Domain sizes drive |A(Q,D,t)| and the over-sampling size.
-    val sizes = domainSizes(frames)
-    if (sizes.contains(0L)) return None
-    val domSize   = u.unboundVars.zip(sizes).toMap
+    val frames    = u.unboundVars.map(v => cached(DerivationOps.varDomain(u.rule, v, catalog)))
+    val sizes     = domainSizes(frames)
     val spaceSize = sizes.map(_.toDouble).product
+
+    if (spaceSize <= math.max(1.0, cfg.fullEnumFactor * cfg.nS)) {
+      // Small space: enumerate exactly instead of sampling. (A small
+      // provenance inside a huge space must still be sampled — enumeration
+      // cost is O(spaceSize), not O(provenance).)
+      val space = DerivationOps.fullSpace(spark, frames)
+      return collected(DerivationOps.whynotDerivations(space, answers, catalog, u.rule))
+        .map(rows => RuleSample(rule, u, rows, 0L, rows.size.toDouble, exact = true))
+    }
 
     // p_notProv: fraction of the space deriving an existing answer matching t
     // (paper §5.3). #derivations per existing answer = Π over existential
     // unbound vars of |D_X|, so p_notProv = nExisting / Π over head-unbound
     // vars of |D_X|. A fully ground head makes that product 1, and
     // p_notProv 1 or 0.
+    val domSize   = u.unboundVars.zip(sizes).toMap
     val headSpace = u.rule.headArgs.collect { case v: Var => v }.distinct
       .map(v => domSize(v).toDouble).product
     val pNotProv  = math.min(1.0, nExisting / headSpace)
@@ -192,15 +204,6 @@ object BatchSampler {
     val pDraw        = sel * (1.0 - pNotProv)
     val provEstimate = spaceSize * pDraw
     if (pDraw <= 0.0) return None
-
-    if (spaceSize <= math.max(1.0, cfg.fullEnumFactor * cfg.nS)) {
-      // Small space: enumerate exactly instead of sampling. (A small
-      // provenance inside a huge space must still be sampled — enumeration
-      // cost is O(spaceSize), not O(provenance).)
-      val space = DerivationOps.fullSpace(spark, frames)
-      return collected(DerivationOps.whynotDerivations(space, answers, catalog, u.rule))
-        .map(rows => RuleSample(rule, u, rows, 0L, rows.size.toDouble, exact = true))
-    }
 
     val nOS       = OverSampling.minOverSample(cfg.nS, pDraw, cfg.pSuccess, cfg.nOSCap)
     val space     = draw(spark, frames.zip(sizes), nOS, cfg.seed)
@@ -229,8 +232,7 @@ object BatchSampler {
     val all   = cached(WhyProv.successful(u, catalog))
     val total = all.count()
     val exact = total <= cfg.nS
-    if (total == 0) None
-    else collected(if (exact) all else takeN(all, cfg.nS, cfg.seed))
+    collected(if (exact) all else takeN(all, cfg.nS, cfg.seed))
       .map(rows => RuleSample(rule, u, rows, 0L, total.toDouble, exact))
   }
 

@@ -13,23 +13,21 @@ object OverSampling {
   /** P(X >= nS) for X ~ Binomial(nOS, p). */
   def tailAtLeast(nOS: Long, nS: Long, p: Double): Double = {
     require(p >= 0 && p <= 1, s"p=$p")
-    if (nS <= 0) 1.0
-    else {
-      val x = new BinomialDistribution(null, math.toIntExact(nOS), p)
-      1.0 - x.cumulativeProbability(math.toIntExact(nS - 1))
-    }
+    val x = new BinomialDistribution(null, math.toIntExact(nOS), p)
+    1.0 - x.cumulativeProbability(math.toIntExact(nS - 1))
   }
 
   /** Minimum `n_OS >= n_S` with `tailAtLeast(n_OS, n_S, p) >= pSuccess`,
     * capped at `cap` (the paper's guarantee becomes best-effort when the
     * success probability is so small that the exact size would be
     * impractical). A capped draw shows as `RuleSample.nOS == cfg.nOSCap`.
+    * The ends need no case of their own: `p = 1` brackets at `n_S`, whose
+    * tail is 1, and `p = 0` at `cap`, whose tail is 0. The sampler asks
+    * only for a space too large to enumerate and a `p` above 0.
     */
   def minOverSample(nS: Long, p: Double, pSuccess: Double, cap: Long): Long = {
     require(nS >= 1, s"nS=$nS")
     require(pSuccess > 0 && pSuccess < 1, s"pSuccess=$pSuccess")
-    if (p <= 0.0) return cap
-    if (p >= 1.0) return nS
     // Exponential search for an upper bracket, then binary search.
     var hi = math.min(cap, math.max(nS, math.ceil(nS / p).toLong))
     while (hi < cap && tailAtLeast(hi, nS, p) < pSuccess) hi = math.min(cap, hi * 2)

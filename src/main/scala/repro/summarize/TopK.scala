@@ -90,7 +90,7 @@ object TopK {
   private final case class Cand(
       idxs: Vector[Int],      // ascending pattern indices
       cpLow: Double,
-      cpHigh: Double,         // un-clamped sum over S_ub
+      cpHigh: Double,         // cpUpperBound: the S_ub sum, clamped to 1
       sumInfo: Double,
       scHigh: Double,         // admissible upper bound on any completion's score
       scLow: Double,          // only meaningful when complete
@@ -162,7 +162,7 @@ object TopK {
     var bestMid: Cand = incumbent
     def mid(c: Cand): Double = {
       val inf = c.sumInfo / k
-      (Pattern.harmonic(c.cpLow, inf) + Pattern.harmonic(math.min(1.0, c.cpHigh), inf)) / 2
+      (Pattern.harmonic(c.cpLow, inf) + Pattern.harmonic(c.cpHigh, inf)) / 2
     }
 
     val queue = mutable.PriorityQueue.empty[Cand](Ordering.by(_.scHigh))

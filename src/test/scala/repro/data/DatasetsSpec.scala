@@ -51,6 +51,27 @@ class DatasetsSpec extends SparkSpec {
     assert(a == b)
   }
 
+  test("no generator draws a non-deterministic value") {
+    // Hash expressions over `range` ids give the same rows on any number of
+    // cores and partitions; `rand` is seeded per partition and would not.
+    val generated = Seq(
+      lic -> Seq("LICENSE", "VALID"),
+      mov -> Seq("MOVIES", "GENRES", "KEYWORDS", "PRODCOMPANY", "COMPANY", "RATINGS", "CASTS", "CREWS"),
+      ml  -> Seq("MOVIES", "GENRES", "RATES"),
+      cri -> Seq("CRIMES", "ARREST"),
+      db  -> Seq("DBLP"),
+      Datasets.tpch(spark, 0.001)          -> Seq("CUSTOMER", "ORDERS", "LINEITEM"),
+      Datasets.crimeWitness(spark, 50)     -> Seq("CRIME", "WITNESS", "SAWPERSON", "PERSON"),
+      Datasets.airbnb(spark)               -> Seq("LISTING", "AVAIL"),
+      Datasets.runningExample(spark)       -> Seq("R"),
+      Datasets.chainRelations(spark, 2, 10, 5, 1) -> Seq("C1", "C2"),
+      Datasets.starRelations(spark, 2, 10, 5, 1)  -> Seq("F", "D1", "D2"))
+    for ((cat, names) <- generated; name <- names) {
+      val plan = cat.relation(name).queryExecution.analyzed
+      assert(!plan.exists(_.expressions.exists(!_.deterministic)), name)
+    }
+  }
+
   test("movies: schemas match the Fig 4 atom arities") {
     assert(mov.arity("MOVIES") == 7)
     assert(mov.arity("GENRES") == 2)

@@ -1,5 +1,6 @@
 package repro.datalog
 
+import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{Datasets, Queries}
@@ -44,6 +45,13 @@ class DatalogEvalSpec extends SparkSpec {
         |WHERE l.l_class = 'd'
         |  AND NOT EXISTS (SELECT 1 FROM VALID v WHERE v.v_id = l.l_id)""".stripMargin,
       "LICENSE" -> cat.relation("LICENSE"), "VALID" -> cat.relation("VALID"))
+    // An anti-join's result does not depend on duplicates on its right side,
+    // so the negated goal is not deduplicated: the why-unified bindings
+    // aggregate only for their own δ. (A δ below the anti-join made it 3:
+    // Catalyst copies the anti-join into both branches of LICENSE's union.)
+    val u = Unify.unify(Queries.r1.rules.head, Queries.whyR1.tuple).get
+    val plan = DatalogEval.bindings(u.rule, cat).queryExecution.optimizedPlan
+    assert(plan.collect { case a: Aggregate => a }.size == 1, plan)
   }
 
   test("r2 (comparison + join): female seniors agree with DuckDB") {

@@ -7,6 +7,7 @@ import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
 import repro.prov.{DerivationOps, FullWhyNot}
+import repro.summarize.Summarizer
 
 class BatchSamplerSpec extends SparkSpec {
 
@@ -82,11 +83,31 @@ class BatchSamplerSpec extends SparkSpec {
   }
 
   test("whynot sample on a tiny space returns the full provenance (exact)") {
-    val s = BatchSampler.whynotSample(spark, Queries.rEx, Queries.rEx.rules.head,
-      rex, tEx, cfg).get
-    assert(s.exact)
-    val full = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, tEx).get
-    assert(s.sampleCount == full.count())
+    import spark.implicits._
+    // The space alone decides: the §5.3 estimate reads 0 on the last two
+    // inputs, yet both have provenance. Singleton domains R.A = {1} and
+    // R.B = {6} give X < Y the selectivity 0; in the union, the first rule's
+    // 4 answers and the second's 1 give p_notProv = min(1, 5 / 3) over the
+    // second rule's 3-value head space.
+    val single = rex.withDomain("R", 0, Seq(1L).toDF("v")).withDomain("R", 1, Seq(6L).toDF("v"))
+    val x      = Vector(Var("X"))
+    val union  = Program(
+      Rule("q1", "Q", x, Vector(Atom("R", Vector(Var("X"), Var("Y"))))),
+      Rule("q2", "Q", x, Vector(Atom("S", x), Atom("T", x))))
+    val rst = Catalog("R" -> (10L to 13L).map(a => (a, 0L)).toDF("r_a", "r_b"),
+      "S" -> Seq(1L, 2L).toDF("s"), "T" -> Seq(2L, 3L).toDF("t"))
+    for ((program, rule, cat, t, size) <- Seq(
+        (Queries.rEx, Queries.rEx.rules.head, rex, tEx, 6),
+        (Queries.rEx, Queries.rEx.rules.head, single, PTuple("Qex", Vector(Var("X"), Var("Y"))), 2),
+        (union, union.rules(1), rst, PTuple("Q", x), 2))) {
+      val s = BatchSampler.whynotSample(spark, program, rule, cat, t, cfg)
+      assert(s.exists(_.exact), t)
+      val full = FullWhyNot.derivations(spark, program, rule, cat, t).get
+      assert(s.get.sampleCount == size && multiset(s.get.sample) == multiset(full), t)
+      val res = Summarizer.summarize(spark, program, cat, ProvQuestion(t, Whynot),
+        Summarizer.Config(k = 3, full = true))
+      assert(res.summary.patterns.nonEmpty, t)
+    }
   }
 
   test("whynot sample rows are genuine why-not derivations (airbnb)") {

@@ -70,7 +70,9 @@ class OverSamplingSpec extends AnyFunSuite {
     assert(OverSampling.cmpSelectivity(CmpOp.Neq, 100, 10) == 0.99)
     assert(math.abs(OverSampling.cmpSelectivity(CmpOp.Lt, 100, 100) - 0.495) < 1e-9)
     assert(math.abs(OverSampling.cmpSelectivity(CmpOp.Geq, 100, 100) - 0.505) < 1e-9)
-    // A var-var comparison over singleton domains: only equality can hold.
+    // Singleton domains: the estimate takes both to hold the same value, so
+    // only equality can hold. Their values may differ; the sampler therefore
+    // enumerates such a small space rather than trust the 0.
     assert(OverSampling.cmpSelectivity(CmpOp.Lt, 1, 1) == 0.0)
     assert(OverSampling.cmpSelectivity(CmpOp.Eq, 1, 1) == 1.0)
   }

@@ -89,7 +89,8 @@ class SummarizerSpec extends SparkSpec {
     // provenance; Qg(1,9) is no answer, so it has no why provenance; Qc(5,3)
     // violates 5 < 3. The Qg and Qc rules are fully ground after unification.
     // Qex(10, "9") violates X < Y with Spark's comparison of a number and a
-    // numeric string, 10 < 9 (as strings, "10" < "9" would hold).
+    // numeric string, 10 < 9 (as strings, "10" < "9" would hold). An empty
+    // override of R's first column leaves X no value: an empty space.
     // The last four questions have provenance: why, sampled why-not, exact
     // why-not and the r4 union. `exact` is the kind of each rule's sample.
     val movies = Datasets.movies(spark, 80)
@@ -99,6 +100,7 @@ class SummarizerSpec extends SparkSpec {
         (groundQg, rex, ProvQuestion(tuple("Qg", 1L, 9L), Why), Vector()),
         (groundQc, rex, ProvQuestion(tuple("Qc", 5L, 3L), Whynot), Vector()),
         (Queries.rEx, rex, ProvQuestion(PTuple("Qex", Vector(Const(10L), Const("9"))), Whynot), Vector()),
+        (Queries.rEx, rex.withDomain("R", 0, spark.range(0).toDF("v")), Queries.whynotEx, Vector()),
         (Queries.rEx, rex, ProvQuestion(PTuple("Qex", Vector(Var("X"), Var("Y"))), Why), Vector(true)),
         (Queries.airbnb, airbnb, Queries.whynotAirbnb, Vector(false)),
         (Queries.rEx, rex, Queries.whynotEx, Vector(true)),

@@ -1,7 +1,9 @@
 package repro.prov
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.datalog._
 
 /** Shared relational building blocks over derivation spaces.
@@ -28,27 +30,76 @@ object DerivationOps {
     require(occ.nonEmpty, s"variable $v has no relation occurrence in ${unified.name}")
     val union = occ.map { case (ai, ti) => catalog.domain(unified.atoms(ai).relation, ti) }
       .reduce(_.union(_)).toDF(v.name)
-    val dom = union.where(col(v.name).isNotNull).distinct()
+    // Single partition, taken before the δ: domains are small, so the δ and
+    // the sorted collect of `collectDomains` run without an exchange (one
+    // shuffle stage per domain otherwise), and the CartesianProduct of
+    // `crossSpace`, which multiplies its inputs' partition counts, has one
+    // partition, not 8^n.
+    val dom = union.where(col(v.name).isNotNull).coalesce(1).distinct()
     // θ_X: constant comparisons involving only this variable.
     val thetaX = unified.comparisons.filter(c => c.isVarConst && c.variables == Vector(v))
-    // Single partition: domains are small, and a CartesianProduct (the FULL
-    // enumeration cross-joins them with broadcast joins disabled) multiplies
-    // its inputs' partition counts — 8^n partitions otherwise.
-    thetaX.foldLeft(dom)((d, c) => d.where(DatalogEval.comparisonCol(c))).coalesce(1)
+    thetaX.foldLeft(dom)((d, c) => d.where(DatalogEval.comparisonCol(c)))
   }
 
-  /** The derivation space of `unified` enumerated in full: the cross
-    * product of its variables' `domains`. A rule with no unbound variable
-    * has one valuation, the empty one: a frame of one row and no columns.
+  /** The values of every one of `domains` (one-column frames, as
+    * [[varDomain]] gives them), collected in one Spark job, each in Spark's
+    * ascending order: the order [[valuations]] indexes into. Frames with the
+    * same plan (`DataFrame.sameSemantics`), such as the domains the rules of
+    * a union share, are collected once and get the same array. The sort runs
+    * in Spark, not on the driver, because Spark orders strings by their
+    * UTF-8 bytes and Java by their UTF-16 units. No domain, no job.
     */
-  def fullSpace(spark: SparkSession, domains: Seq[DataFrame]): DataFrame =
+  def collectDomains(domains: Seq[DataFrame]): Seq[Array[Any]] = {
+    val distinct = domains.foldLeft(Vector.empty[DataFrame]) { (ds, d) =>
+      if (ds.exists(_.sameSemantics(d))) ds else ds :+ d
+    }
+    val values = if (distinct.isEmpty) Vector.empty[Array[Any]] else
+      distinct.map(d => d.select(sort_array(collect_list(col(d.columns.head)))))
+        .reduce(_.crossJoin(_)).collect().head.toSeq.map(_.asInstanceOf[collection.Seq[Any]].toArray)
+    domains.map(d => values(distinct.indexWhere(_.sameSemantics(d))))
+  }
+
+  /** `n` valuations over the broadcast `domains` (as [[collectDomains]]
+    * gives them), one `schema` column each: valuation `id` of `range(n)`
+    * takes from domain `i` its value at index `pick(id, i)`. The plan has
+    * no join, exchange or driver-side relation of `n` rows; the caller owns
+    * the broadcast.
+    */
+  def valuations(spark: SparkSession, schema: StructType, domains: Broadcast[Seq[Array[Any]]], n: Long)
+                (pick: (Long, Int) => Int): DataFrame =
+    spark.range(n).mapPartitions { (ids: Iterator[java.lang.Long]) =>
+      val arrays = domains.value.toArray
+      ids.map(id => Row.fromSeq(arrays.indices.map(i => arrays(i)(pick(id, i)))))
+    }(Encoders.row(schema))
+
+  /** The derivation space enumerated in full: the valuations of
+    * `range(Π|D_i|)`, valuation `id` read as a mixed-radix number whose
+    * digit `i` indexes domain `i` (the last domain's digit is the lowest).
+    * A rule with no unbound variable has one valuation, the empty one; an
+    * empty domain leaves none.
+    */
+  def fullSpace(spark: SparkSession, schema: StructType, domains: Broadcast[Seq[Array[Any]]]): DataFrame = {
+    val sizes = domains.value.map(_.length.toLong).toArray
+    val size  = sizes.foldLeft(BigInt(1))(_ * _)
+    require(size <= Long.MaxValue,
+      s"the space over ${schema.fieldNames.mkString(", ")} has $size valuations, more than a range can number")
+    val strides = sizes.scanRight(1L)(_ * _).tail
+    valuations(spark, schema, domains, size.toLong)((id, i) => (id / strides(i) % sizes(i)).toInt)
+  }
+
+  /** The derivation space as the cross product of the domain frames, a
+    * plan built without a Spark job: the space of [[repro.prov.FullWhyNot]].
+    * A rule with no unbound variable has one valuation, the empty one: a
+    * frame of one row and no columns.
+    */
+  def crossSpace(spark: SparkSession, domains: Seq[DataFrame]): DataFrame =
     domains.reduceOption(_.crossJoin(_)).getOrElse(spark.range(1).drop("id"))
 
   /** The why-not derivations of `unified` in a derivation space (one column
     * per unbound variable): `θ_join`, then `Q_der` against `answers`
     * (σ_t(Q), [[DatalogEval.restrictedAnswers]]), then goal annotation
-    * (paper §5.2). FULL feeds it [[fullSpace]], the batch sampler its `Q_X`
-    * draws.
+    * (paper §5.2). FULL feeds it [[crossSpace]], the batch sampler the
+    * [[fullSpace]] of a small space or its `Q_X` draws.
     */
   def whynotDerivations(
       space: DataFrame,

@@ -33,8 +33,10 @@ object WhyProv {
 /** Exhaustive why-not enumeration — the paper's FULL baseline (§9.1) and
   * the ground truth for tests: [[DerivationOps.whynotDerivations]] over the
   * cross product of the complete per-variable domains instead of a sample.
-  * Cost is O(Π|D_X|) = O(|D|^n), which is the point: it is only feasible
-  * for tiny domains.
+  * It is a plan over the domain frames, built without a Spark job, and so
+  * independent of the collected domains the sampler enumerates a small
+  * space from. Cost is O(Π|D_X|) = O(|D|^n), which is the point: it is only
+  * feasible for tiny domains.
   */
 object FullWhyNot {
 
@@ -52,7 +54,7 @@ object FullWhyNot {
   ): Option[DataFrame] =
     Unify.unify(rule, t).map { u =>
       val domains = u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
-      DerivationOps.whynotDerivations(DerivationOps.fullSpace(spark, domains),
+      DerivationOps.whynotDerivations(DerivationOps.crossSpace(spark, domains),
         DatalogEval.restrictedAnswers(program, catalog, t), catalog, u.rule)
     }
 }

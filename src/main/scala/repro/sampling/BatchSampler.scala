@@ -1,8 +1,10 @@
 package repro.sampling
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.datalog._
 import repro.prov.{DerivationOps, WhyProv}
 import scala.collection.mutable
@@ -10,18 +12,20 @@ import scala.jdk.CollectionConverters._
 
 /** Batch sampling of why-not (and why) provenance (paper §5).
   *
-  * The sampling pipeline is compiled entirely into a Catalyst plan:
+  * The sampling pipeline is compiled into a Catalyst plan over the
+  * variables' domains, which are collected to the driver first:
   *
   *  - `Q_X`  — `n_OS` valuations drawn uniformly with replacement from the
   *    unbound variables' domains (the paper's
   *    `#_id(SAMPLE_nOS(σ_θX(D_A1 ∪ …)))`, one per variable, zipped on
-  *    `#_id`). All draws come from one `range(n_OS)`: each variable's
-  *    deterministic hash index is a column of it, equi-joined to the
-  *    `row_number`-indexed domain, so the zip needs no join and the plan
-  *    stays relational and reproducible from the seed ([[draw]]).
+  *    `#_id`). All draws come from one `range(n_OS)`: draw `id` looks up
+  *    each variable's value in its collected domain at a deterministic hash
+  *    index of `id`, so the zip is implicit in the draw id, the plan has no
+  *    join, window or exchange, and it is reproducible from the seed
+  *    ([[draw]]).
   *  - `Q_bind` — `θ_join` over the draws.
   *  - `Q_der`  — anti-join against σ_t(Q), cached once per question: the
-  *    rules of a union share it, as they share the variable domains.
+  *    rules of a union share it, as they share the collected domains.
   *  - `Q_sample` — outer-join goal annotation + δ.
   *
   * `Q_bind`'s θ_join, `Q_der` and the annotation are
@@ -86,21 +90,21 @@ object BatchSampler {
     lazy val sample: DataFrame = SparkSession.active.createDataFrame(rows.asJava, rows.head.schema)
   }
 
-  /** `Q_X`: `n` valuations drawn uniformly with replacement, one column per
-    * domain. Each domain is a single column named after its variable, given
-    * with its size. Draw `id` of `range(n)` takes, from domain `i`, the value
-    * at `row_number` `pmod(xxhash64(id, seed + 7919·(i+1)), |D_i|) + 1`.
-    * Deterministic in `seed`.
+  /** `Q_X`: `n` valuations drawn uniformly with replacement, one `schema`
+    * column per domain of `domains` (collected by
+    * [[DerivationOps.collectDomains]], in Spark's order). Draw `id` of
+    * `range(n)` takes, from domain `i`, the value at index
+    * `pmod(xxhash64(id, seed + 7919·(i+1)), |D_i|)`, which is
+    * `XXH64.hashLong(seed + 7919·(i+1), XXH64.hashLong(id, 42))`: a lookup,
+    * with no join, window or exchange. Deterministic in `seed`.
     */
-  def draw(spark: SparkSession, domains: Seq[(DataFrame, Long)], n: Long, seed: Long): DataFrame = {
-    val vars = domains.map(_._1.columns.head)
-    val picks = spark.range(n).select(domains.zipWithIndex.map { case ((_, size), i) =>
-      require(size > 0, s"empty domain for ${vars(i)}")
-      (pmod(xxhash64(col("id"), lit(seed + 7919L * (i + 1))), lit(size)) + 1).as(s"__x$i")
-    }: _*)
-    domains.zipWithIndex.foldLeft(picks) { case (df, ((d, _), i)) =>
-      df.join(d.withColumn(s"__x$i", row_number().over(Window.orderBy(vars(i)))), s"__x$i")
-    }.select(vars.map(col): _*)
+  def draw(spark: SparkSession, schema: StructType, domains: Broadcast[Seq[Array[Any]]], n: Long,
+           seed: Long): DataFrame = {
+    val sizes = domains.value.map(_.length.toLong).toArray
+    sizes.zip(schema.fieldNames).foreach { case (size, v) => require(size > 0, s"empty domain for $v") }
+    DerivationOps.valuations(spark, schema, domains, n) { (id, i) =>
+      Math.floorMod(XXH64.hashLong(seed + 7919L * (i + 1), XXH64.hashLong(id, 42L)), sizes(i)).toInt
+    }
   }
 
   /** Deterministically keep at most `n` rows of an annotated-derivation
@@ -123,10 +127,13 @@ object BatchSampler {
     * also contributes nothing when its §5.3 estimate of the why-not share
     * is 0.
     *
-    * It owns every cache the question makes — σ_t(Q) (why-not only, cached
-    * and counted once), the variable domains the rules of a union share, and
-    * a why rule's captured derivations — and releases them all before it
-    * returns or throws.
+    * The variable domains are not cached: the distinct domains of all the
+    * question's rules are collected to the driver together, in one job, and
+    * broadcast once per rule, and every space is read from them. It owns
+    * every cache and broadcast the question makes — σ_t(Q) (why-not only,
+    * cached and counted once), a why rule's captured derivations and a
+    * why-not rule's domains — and releases them all before it returns or
+    * throws.
     */
   def sample(
       spark: SparkSession,
@@ -147,40 +154,55 @@ object BatchSampler {
     sampleRules(spark, program, Seq(rule), catalog, ProvQuestion(t, Why), cfg).headOption
 
   /** [[sample]] over `rules` of `program`. Every cache goes through
-    * `cached`, which records it for the one release in `finally`.
+    * `cached` and every broadcast through `shared`, which record it for the
+    * one release in `finally`. The domains of all why-not rules come from
+    * one [[DerivationOps.collectDomains]], handed out rule by rule in order.
     */
   private def sampleRules(spark: SparkSession, program: Program, rules: Seq[Rule], catalog: Catalog,
                           pq: ProvQuestion, cfg: Config): Vector[RuleSample] = {
-    val held = mutable.ArrayBuffer.empty[DataFrame]
-    def cached(df: DataFrame): DataFrame = { held += df; df.cache() }
+    val held = mutable.ArrayBuffer.empty[() => Unit]
+    def cached(df: DataFrame): DataFrame = { held += (() => df.unpersist()); df.cache() }
+    def shared(domains: Seq[Array[Any]]): Broadcast[Seq[Array[Any]]] = {
+      val b = spark.sparkContext.broadcast(domains)
+      held += (() => b.destroy())
+      b
+    }
     val unified = rules.toVector.flatMap(r => Unify.unify(r, pq.tuple).map(r -> _))
     try pq.qtype match {
       case Why => unified.flatMap { case (r, u) => why(r, u, catalog, cfg, cached) }
       case Whynot =>
         val answers   = cached(DatalogEval.restrictedAnswers(program, catalog, pq.tuple))
         val nExisting = answers.count()
-        unified.flatMap { case (r, u) => whynot(spark, r, u, catalog, answers, nExisting, cfg, cached) }
-    } finally held.reverseIterator.foreach(_.unpersist())
+        val frames    = unified.map { case (_, u) =>
+          u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
+        }
+        val values    = DerivationOps.collectDomains(frames.flatten).iterator
+        unified.zip(frames).flatMap { case ((r, u), fs) =>
+          whynot(spark, r, u, StructType(fs.map(_.schema.head)), shared(fs.map(_ => values.next())),
+            catalog, answers, nExisting, cfg)
+        }
+    } finally held.reverseIterator.foreach(_())
   }
 
-  /** Why-not provenance of the unified rule `u`: [[DerivationOps.whynotDerivations]]
-    * over the full space when it holds at most `max(1, fullEnumFactor · nS)`
-    * valuations (a ground rule's one valuation and an empty domain's none
-    * included), else over the batch sample of §5.2, sized by the §5.3
-    * estimate. `answers` is σ_t(Q), of `nExisting` rows.
+  /** Why-not provenance of the unified rule `u`, whose unbound variables
+    * (the `schema` columns) range over the collected `domains`:
+    * [[DerivationOps.whynotDerivations]] over the full space when it holds
+    * at most `max(1, fullEnumFactor · nS)` valuations (a ground rule's one
+    * valuation and an empty domain's none included), else over the batch
+    * sample of §5.2, sized by the §5.3 estimate. `answers` is σ_t(Q), of
+    * `nExisting` rows.
     */
-  private def whynot(spark: SparkSession, rule: Rule, u: Unify.Unified, catalog: Catalog,
-                     answers: DataFrame, nExisting: Long, cfg: Config,
-                     cached: DataFrame => DataFrame): Option[RuleSample] = {
-    val frames    = u.unboundVars.map(v => cached(DerivationOps.varDomain(u.rule, v, catalog)))
-    val sizes     = domainSizes(frames)
+  private def whynot(spark: SparkSession, rule: Rule, u: Unify.Unified, schema: StructType,
+                     domains: Broadcast[Seq[Array[Any]]], catalog: Catalog, answers: DataFrame,
+                     nExisting: Long, cfg: Config): Option[RuleSample] = {
+    val sizes     = domains.value.map(_.length.toLong)
     val spaceSize = sizes.map(_.toDouble).product
 
     if (spaceSize <= math.max(1.0, cfg.fullEnumFactor * cfg.nS)) {
       // Small space: enumerate exactly instead of sampling. (A small
       // provenance inside a huge space must still be sampled — enumeration
       // cost is O(spaceSize), not O(provenance).)
-      val space = DerivationOps.fullSpace(spark, frames)
+      val space = DerivationOps.fullSpace(spark, schema, domains)
       return collected(DerivationOps.whynotDerivations(space, answers, catalog, u.rule))
         .map(rows => RuleSample(rule, u, rows, 0L, rows.size.toDouble, exact = true))
     }
@@ -206,22 +228,11 @@ object BatchSampler {
     if (pDraw <= 0.0) return None
 
     val nOS       = OverSampling.minOverSample(cfg.nS, pDraw, cfg.pSuccess, cfg.nOSCap)
-    val space     = draw(spark, frames.zip(sizes), nOS, cfg.seed)
+    val space     = draw(spark, schema, domains, nOS, cfg.seed)
     val annotated = DerivationOps.whynotDerivations(space, answers, catalog, u.rule).distinct()
     collected(takeN(annotated, cfg.nS, cfg.seed))
       .map(rows => RuleSample(rule, u, rows, nOS, provEstimate, exact = false))
   }
-
-  /** The row count of every domain, from one Spark job: the union of
-    * per-domain counts, each tagged with its domain's index.
-    */
-  private def domainSizes(domains: Seq[DataFrame]): Seq[Long] =
-    if (domains.isEmpty) Nil
-    else {
-      val counts  = domains.zipWithIndex.map { case (d, i) => d.select(lit(i), count(lit(1))) }
-      val byIndex = counts.reduce(_.union(_)).collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-      domains.indices.map(byIndex)
-    }
 
   /** Why provenance of the unified rule `u`: capture the successful
     * derivations exactly (PUG instrumentation, paper §4) and keep `n_S` of

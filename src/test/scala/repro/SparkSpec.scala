@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.ListenerBusDrain
+import org.apache.spark.{ListenerBusDrain, LiveBroadcasts}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{CacheEntries, SparkSession}
 import org.scalatest.BeforeAndAfterAll
@@ -22,6 +22,12 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     */
   def cacheState: (Set[Int], Int) =
     (spark.sparkContext.getPersistentRDDs.keySet.toSet, CacheEntries(spark))
+
+  /** The broadcast variables the driver holds, Spark's own task binaries
+    * left out. `destroy` removes a broadcast's blocks asynchronously, so a
+    * test waits for this to drop what a call made.
+    */
+  def broadcasts: Set[Long] = LiveBroadcasts(spark.sparkContext)
 
   /** The Spark jobs `body` starts. */
   def jobsOf[A](body: => A): (A, Int) = {

@@ -3,10 +3,11 @@ package repro.prov
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.{Oracle, SparkSpec}
 import repro.data.{Datasets, Queries}
 import repro.datalog._
-import repro.sampling.BatchSampler
+import repro.sampling.{BatchSampler, BatchSamplerSpec}
 
 /** Ground-truth provenance checks straight from the paper's examples:
   * Fig 1/Ex 1 (2160 why-not derivations for AL(N, shared)), the Fig 3
@@ -202,6 +203,31 @@ class ProvenanceSpec extends SparkSpec {
     val g = tuple("Qg", 1L, 2L)
     assert(FullWhyNot.derivations(spark, qg, qg.rules.head, rex, g).get.isEmpty)
     assert(goalRows(WhyProv.derivations(qg.rules.head, rex, g).get) == Seq(Seq(true)))
+  }
+
+  test("fullSpace over the collected domains equals their cross product") {
+    def multiset(df: DataFrame) = df.collect().map(_.mkString("|")).toSeq.sorted
+    val empty = rex.withDomain("R", 0, spark.range(0).toDF("v"))
+    for ((rule, cat, t, size) <- Seq(
+        (Queries.rEx.rules.head, rex, tEx, 12),             // X ∈ {1, 2}, Z ∈ {1..6}
+        (Queries.airbnb.rules.head, airbnb, tAirbnb, 2160),
+        (qg.rules.head, rex, tuple("Qg", 1L, 9L), 1),       // ground: the empty valuation
+        (Queries.rEx.rules.head, empty, tEx, 0))) {         // X has no value
+      val u      = Unify.unify(rule, t).get
+      val frames = u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, cat))
+      val (schema, values) = BatchSamplerSpec.collected(spark, frames)
+      val space  = DerivationOps.fullSpace(spark, schema, values)
+      val ref    = DerivationOps.crossSpace(spark, frames)
+      assert(space.columns.toSeq == ref.columns.toSeq, t)
+      val rows = multiset(space)
+      assert(rows.size == size && rows == multiset(ref), t)
+    }
+    // More valuations than a range can number: a clear error, not an overflow.
+    val wide = spark.sparkContext.broadcast(Seq.fill(5)(Array.tabulate[Any](10000)(_.toLong)))
+    val e = intercept[IllegalArgumentException](DerivationOps.fullSpace(spark,
+      StructType((1 to 5).map(i => StructField(s"V$i", LongType))), wide))
+    assert(e.getMessage.contains("1" + "0" * 20 + " valuations"), e)
+    wide.destroy()
   }
 
   test("varDomain unions the domains of all attributes a variable binds to") {

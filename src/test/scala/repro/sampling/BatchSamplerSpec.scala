@@ -1,15 +1,23 @@
 package repro.sampling
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.catalyst.plans.logical.{Join, LocalRelation, Window}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.Exchange
+import org.apache.spark.sql.expressions.{Window => W}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
 import repro.prov.{DerivationOps, FullWhyNot}
 import repro.summarize.Summarizer
+import scala.jdk.CollectionConverters._
 
-class BatchSamplerSpec extends SparkSpec {
+class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val rex    = Datasets.runningExample(spark)
   private lazy val airbnb = Datasets.airbnb(spark)
@@ -25,9 +33,17 @@ class BatchSamplerSpec extends SparkSpec {
   /** The rows of `df` as a sorted multiset of tuples. */
   private def multiset(df: DataFrame): Seq[String] = df.collect().map(_.mkString("|")).toSeq.sorted
 
+  /** [[BatchSampler.draw]] over `doms`, collected and broadcast as the
+    * sampler does.
+    */
+  private def draw(doms: Seq[(DataFrame, Long)], n: Long, seed: Long): DataFrame = {
+    val (schema, values) = BatchSamplerSpec.collected(spark, doms.map(_._1))
+    BatchSampler.draw(spark, schema, values, n, seed)
+  }
+
   test("draw takes exactly n valuations, each column from its domain") {
     val doms = domains(Seq(3, 5, 2))
-    val s    = BatchSampler.draw(spark, doms, 100, 1L)
+    val s    = draw(doms, 100, 1L)
     assert(s.columns.toSeq == Seq("V0", "V1", "V2"))
     val rows = s.collect()
     assert(rows.length == 100)
@@ -40,14 +56,14 @@ class BatchSamplerSpec extends SparkSpec {
 
   test("draw is deterministic in the seed") {
     val doms = domains(Seq(4, 3))
-    def drawn(seed: Long) = multiset(BatchSampler.draw(spark, doms, 50, seed))
+    def drawn(seed: Long) = multiset(draw(doms, 50, seed))
     assert(drawn(5L) == drawn(5L))
     assert(drawn(5L) != drawn(6L))
   }
 
   test("draw is roughly uniform in every column") {
     val doms = domains(Seq(10, 4))
-    val s    = BatchSampler.draw(spark, doms, 10000, 3L)
+    val s    = draw(doms, 10000, 3L)
     doms.foreach { case (d, size) =>
       val v      = d.columns.head
       val counts = s.groupBy(v).count().collect().map(_.getLong(1))
@@ -59,11 +75,65 @@ class BatchSamplerSpec extends SparkSpec {
   }
 
   test("draw equals the per-variable zip as a multiset of tuples") {
-    for (seed <- Seq(1L, 7L)) {
-      val doms = domains(Seq(3, 7, 2, 11))
-      assert(multiset(BatchSampler.draw(spark, doms, 500, seed)) ==
-        multiset(BatchSamplerSpec.zipDraw(spark, doms, 500, seed)))
+    import spark.implicits._
+    def sized(df: DataFrame) = (df, df.count())
+    // Spark orders strings by their UTF-8 bytes, Java by UTF-16 units:
+    // "！" (U+FF01) comes before "😀" (U+1F600) in Spark and after it in Java.
+    val strings = sized(Seq("！", "😀", "b", "B", "a", "A", "Zeta", "alpha", "é").toDF("S"))
+    val doubles = sized(Seq(-2.5, 3.25, -0.5, 0.0, 1.5, -1e10, 7.0).toDF("D"))
+    val dates   = sized(Seq("2016-11-09", "1999-12-31", "2016-11-10", "1970-01-01", "2024-02-29")
+      .map(java.sql.Date.valueOf).toDF("T"))
+    for (seed <- Seq(1L, 7L);
+         doms <- Seq(domains(Seq(3, 7, 2, 11)), Seq(strings), Seq(doubles), Seq(dates),
+                     Seq(strings, doubles, dates) ++ domains(Seq(4)))) {
+      assert(multiset(draw(doms, 500, seed)) ==
+        multiset(BatchSamplerSpec.zipDraw(spark, doms, 500, seed)), doms.map(_._1.columns.head))
     }
+  }
+
+  test("Q_X is a lookup: one job collects a union's domains, and the draw has no window, join or exchange") {
+    // movies 100 as local relations, read without an exchange like a
+    // checkpointed catalog.
+    val movies = Datasets.movies(spark, 100)
+    val local  = Catalog(Seq("MOVIES", "CASTS", "GENRES", "KEYWORDS", "RATINGS").map { n =>
+      val r = movies.relation(n)
+      n -> spark.createDataFrame(r.collect().toSeq.asJava, r.schema)
+    }: _*)
+    val t      = PTuple("Players", Vector(Const("tom ford")))
+    val frames = Queries.r4.rules.map { r =>
+      val u = Unify.unify(r, t).get
+      u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, local))
+    }
+    val (values, jobs) = jobsOf(DerivationOps.collectDomains(frames.flatten))
+    assert(jobs == 1)
+    // Each distinct domain is collected once: r4′ and r4″ share all 13 of
+    // theirs, and 12 with r4. I also binds KEYWORDS.k_movie in r4′ and r4″.
+    val byRule = values.grouped(13).toVector
+    assert(values.foldLeft(Vector.empty[Array[Any]])((ds, a) => if (ds.exists(_ eq a)) ds else ds :+ a).size == 14)
+    assert(byRule(1).zip(byRule(2)).forall { case (a, b) => a eq b })
+    assert(byRule(0).zip(byRule(1)).map { case (a, b) => a eq b } == (false +: Vector.fill(12)(true)))
+    val (schema, shared) = BatchSamplerSpec.collected(spark, frames.head)
+    val d = BatchSampler.draw(spark, schema, shared, 1000, 7L)
+    assert(d.queryExecution.optimizedPlan.collect { case w: Window => w; case j: Join => j }.isEmpty)
+    assert(collect(d.queryExecution.executedPlan) { case e: Exchange => e }.isEmpty)
+    assert(d.count() == 1000)
+  }
+
+  test("draw at the n_OS cap counts every valuation without a driver-side relation") {
+    val d = draw(domains(Seq(3, 5, 2)), 2000000L, 5L)
+    assert(d.count() == 2000000L)
+    assert(!d.queryExecution.optimizedPlan.collectLeaves().exists(_.isInstanceOf[LocalRelation]))
+  }
+
+  test("a forced-sampling question leaves no cache or broadcast behind") {
+    val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
+    val movies = Datasets.movies(spark, 100)
+    val (caches, shared) = (cacheState, broadcasts)
+    val samples = BatchSampler.sample(spark, Queries.r4, movies,
+      ProvQuestion(PTuple("Players", Vector(Const("tom ford"))), Whynot), forced)
+    assert(samples.size == 3 && !samples.exists(_.exact))
+    assert(cacheState == caches)
+    eventually(timeout(10.seconds))(assert(broadcasts.subsetOf(shared)))
   }
 
   test("forced sampling returns exactly the rows of the per-variable zip pipeline") {
@@ -237,13 +307,19 @@ object BatchSamplerSpec {
   def zipDraw(spark: SparkSession, domains: Seq[(DataFrame, Long)], n: Long, seed: Long): DataFrame =
     domains.zipWithIndex.map { case ((dom, size), i) =>
       val v       = dom.columns.head
-      val indexed = dom.withColumn("__rid", row_number().over(Window.orderBy(v)))
+      val indexed = dom.withColumn("__rid", row_number().over(W.orderBy(v)))
       spark.range(n)
         .select(col("id").as("__sid"),
           (pmod(xxhash64(col("id"), lit(seed + 7919L * (i + 1))), lit(size)) + 1).as("__rid"))
         .join(indexed, "__rid")
         .select(col("__sid"), col(v))
     }.reduce(_.join(_, "__sid")).drop("__sid")
+
+  /** The schema and the broadcast values of `frames`, as the sampler hands
+    * them to [[BatchSampler.draw]] and [[DerivationOps.fullSpace]].
+    */
+  def collected(spark: SparkSession, frames: Seq[DataFrame]): (StructType, Broadcast[Seq[Array[Any]]]) =
+    (StructType(frames.map(_.schema.head)), spark.sparkContext.broadcast(DerivationOps.collectDomains(frames)))
 
   /** The batch-sampled why-not rows of `rule` from [[zipDraw]]: `nOS` zipped
     * draws, then [[DerivationOps.whynotDerivations]], δ and `takeN`.

@@ -1,6 +1,8 @@
 package repro.summarize
 
 import org.apache.spark.sql.functions.{col, concat, lit, raise_error}
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
@@ -118,16 +120,24 @@ class SummarizerSpec extends SparkSpec {
 
   test("a question that throws during sampling leaves no cache behind") {
     // R's first column as a domain that fails whenever a job reads it:
-    // σ_t(Q) is cached and counted, the domains are cached, and then the job
-    // that counts them throws.
+    // σ_t(Q) is cached and counted, and then the job that collects the
+    // domains throws.
     val failing = rex.withDomain("R", 0, spark.range(3)
       .select(raise_error(concat(lit("no domain: "), col("id").cast("string"))).cast("long")))
-    val before = cacheState
+    val before = (cacheState, broadcasts)
     val e = intercept[Exception](
       Summarizer.summarize(spark, Queries.rEx, failing, Queries.whynotEx, Summarizer.Config(nS = 10)))
     assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
       .exists(t => String.valueOf(t.getMessage).contains("no domain: ")), e)
-    assert(cacheState == before)
+    assert(cacheState == before._1)
+    eventually(timeout(10.seconds))(assert(broadcasts.subsetOf(before._2)))
+    // A throw after the domains are broadcast: the 2160-valuation airbnb
+    // space is sampled, and sizing n_OS rejects P_success = 1.
+    val e2 = intercept[IllegalArgumentException](Summarizer.summarize(spark, Queries.airbnb, airbnb,
+      Queries.whynotAirbnb, Summarizer.Config(nS = 10, pSuccess = 1.0)))
+    assert(e2.getMessage.contains("pSuccess=1.0"), e2)
+    assert(cacheState == before._1)
+    eventually(timeout(10.seconds))(assert(broadcasts.subsetOf(before._2)))
   }
 
   test("union query: summary draws patterns per rule and weights them") {

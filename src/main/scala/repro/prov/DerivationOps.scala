@@ -3,7 +3,7 @@ package repro.prov
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types.{BooleanType, DataType, StructField, StructType}
 import repro.datalog._
 
 /** Shared relational building blocks over derivation spaces.
@@ -31,39 +31,63 @@ object DerivationOps {
     val union = occ.map { case (ai, ti) => catalog.domain(unified.atoms(ai).relation, ti) }
       .reduce(_.union(_)).toDF(v.name)
     // Single partition, taken before the δ: domains are small, so the δ and
-    // the sorted collect of `collectDomains` run without an exchange (one
-    // shuffle stage per domain otherwise), and the CartesianProduct of
-    // `crossSpace`, which multiplies its inputs' partition counts, has one
-    // partition, not 8^n.
+    // the sorted array of `domainValues` run in one task of the one
+    // `collectArrays` job, with no exchange (one shuffle stage per domain
+    // otherwise), and the CartesianProduct of `crossSpace`, which multiplies
+    // its inputs' partition counts, has one partition, not 8^n.
     val dom = union.where(col(v.name).isNotNull).coalesce(1).distinct()
     // θ_X: constant comparisons involving only this variable.
     val thetaX = unified.comparisons.filter(c => c.isVarConst && c.variables == Vector(v))
     thetaX.foldLeft(dom)((d, c) => d.where(DatalogEval.comparisonCol(c)))
   }
 
-  /** The values of every one of `domains` (one-column frames, as
-    * [[varDomain]] gives them), collected in one Spark job, each in Spark's
-    * ascending order: the order [[valuations]] indexes into. Frames with the
-    * same plan (`DataFrame.sameSemantics`), such as the domains the rules of
-    * a union share, are collected once and get the same array. The sort runs
-    * in Spark, not on the driver, because Spark orders strings by their
-    * UTF-8 bytes and Java by their UTF-16 units. No domain, no job.
+  /** `domain` (a one-column frame, as [[varDomain]] gives it) as one row
+    * holding its values in Spark's ascending order: the order
+    * [[valuations]] indexes into. The sort runs in Spark, not on the driver,
+    * because Spark orders strings by their UTF-8 bytes and Java by their
+    * UTF-16 units. A frame for [[collectArrays]].
     */
-  def collectDomains(domains: Seq[DataFrame]): Seq[Array[Any]] = {
-    val distinct = domains.foldLeft(Vector.empty[DataFrame]) { (ds, d) =>
-      if (ds.exists(_.sameSemantics(d))) ds else ds :+ d
-    }
-    val values = if (distinct.isEmpty) Vector.empty[Array[Any]] else
-      distinct.map(d => d.select(sort_array(collect_list(col(d.columns.head)))))
-        .reduce(_.crossJoin(_)).collect().head.toSeq.map(_.asInstanceOf[collection.Seq[Any]].toArray)
-    domains.map(d => values(distinct.indexWhere(_.sameSemantics(d))))
+  def domainValues(domain: DataFrame): DataFrame =
+    domain.select(sort_array(collect_list(col(domain.columns.head))))
+
+  /** The goal markers of `atom`: its distinct bindings with no NULL (no
+    * derivation value is NULL, and a NULL key joins nothing), each variable
+    * cast to its derivation column's type in `types`, so that equal values
+    * are equal on the driver as they are under the join's coercion. One row
+    * holding them as one array of rows; a ground atom's holds the empty row
+    * iff its tuple exists. Single partition, taken before the δ, as in
+    * [[varDomain]]. A frame for [[collectArrays]].
+    */
+  def goalMarkers(atom: Atom, catalog: Catalog, types: Map[String, DataType]): DataFrame = {
+    val b    = DatalogEval.atomBindings(atom.copy(negated = false), catalog)
+    val vars = b.columns.toSeq.map(col)
+    b.where(vars.map(_.isNotNull).foldLeft(lit(true))(_ && _)).coalesce(1)
+      .select(b.columns.toSeq.map(v => col(v).cast(types(v)).as(v)): _*).distinct()
+      .select(collect_list(struct(vars: _*)))
   }
 
-  /** `n` valuations over the broadcast `domains` (as [[collectDomains]]
-    * gives them), one `schema` column each: valuation `id` of `range(n)`
-    * takes from domain `i` its value at index `pick(id, i)`. The plan has
-    * no join, exchange or driver-side relation of `n` rows; the caller owns
-    * the broadcast.
+  /** The arrays of `frames`, aggregates of one row holding one array such as
+    * [[domainValues]] and [[goalMarkers]] give, collected in one Spark job
+    * with one task per frame. Frames with the same plan
+    * (`DataFrame.sameSemantics`), such as the domains and markers the rules
+    * of a union share, are collected once and get the same array. No frame,
+    * no job.
+    */
+  def collectArrays(frames: Seq[DataFrame]): Seq[Array[Any]] = {
+    val distinct = frames.foldLeft(Vector.empty[DataFrame]) { (fs, f) =>
+      if (fs.exists(_.sameSemantics(f))) fs else fs :+ f
+    }
+    val values = if (distinct.isEmpty) Vector.empty[Array[Any]] else
+      distinct.head.sparkSession.sparkContext.union(distinct.map(_.rdd)).collect().toVector
+        .map(_.getSeq[Any](0).toArray)
+    frames.map(f => values(distinct.indexWhere(_.sameSemantics(f))))
+  }
+
+  /** `n` valuations over the broadcast `domains` (as [[collectArrays]]
+    * gives them for [[domainValues]]), one `schema` column each: valuation
+    * `id` of `range(n)` takes from domain `i` its value at index
+    * `pick(id, i)`. The plan has no join, exchange or driver-side relation
+    * of `n` rows; the caller owns the broadcast.
     */
   def valuations(spark: SparkSession, schema: StructType, domains: Broadcast[Seq[Array[Any]]], n: Long)
                 (pick: (Long, Int) => Int): DataFrame =
@@ -96,10 +120,12 @@ object DerivationOps {
     domains.reduceOption(_.crossJoin(_)).getOrElse(spark.range(1).drop("id"))
 
   /** The why-not derivations of `unified` in a derivation space (one column
-    * per unbound variable): `θ_join`, then `Q_der` against `answers`
-    * (σ_t(Q), [[DatalogEval.restrictedAnswers]]), then goal annotation
-    * (paper §5.2). FULL feeds it [[crossSpace]], the batch sampler the
-    * [[fullSpace]] of a small space or its `Q_X` draws.
+    * per unbound variable), as relational operators: `θ_join`, then `Q_der`
+    * as an anti-join against `answers` (σ_t(Q),
+    * [[DatalogEval.restrictedAnswers]]), then goal annotation as outer joins
+    * (paper §5.2). A plan built without a Spark job: FULL runs it over
+    * [[crossSpace]], and it is the reference for [[lookupDerivations]],
+    * which the batch sampler runs instead.
     */
   def whynotDerivations(
       space: DataFrame,
@@ -111,6 +137,46 @@ object DerivationOps {
     annotate(removeExisting(bound, answers, unified), unified, catalog)
   }
 
+  /** What [[lookupDerivations]] reads of a rule on the driver: `existing`,
+    * σ_t(Q)'s answers projected on the positions of the rule's head
+    * variables, and per body atom its [[goalMarkers]], each row keyed in
+    * the order of the atom's variables. A ground head's or atom's key is
+    * the empty row.
+    */
+  final case class Lookups(existing: Set[Row], markers: Vector[Set[Row]])
+
+  /** The key of `unified`'s head in the rows of σ_t(Q): per head variable,
+    * in head order, its position and its derivation column's type in
+    * `types`. The answers are cast to it in Spark, so that equal values are
+    * equal on the driver as they are under the anti-join's coercion.
+    */
+  def headKey(unified: Rule, types: Map[String, DataType]): Seq[(Int, DataType)] =
+    unified.headArgs.zipWithIndex.collect { case (v: Var, i) => (i, types(v.name)) }
+
+  /** [[whynotDerivations]] with `Q_der` and goal annotation as lookups in
+    * the broadcast `lookups`, in one map over the space after the
+    * Catalyst `θ_join`: a row whose head variables' values are an existing
+    * answer's key is dropped, and goal flag `g_i` is whether the values of
+    * atom `i`'s variables are one of its markers, inverted for a negated
+    * atom. The plan has no join or exchange; the caller owns the broadcast.
+    */
+  def lookupDerivations(space: DataFrame, unified: Rule, lookups: Broadcast[Lookups]): DataFrame = {
+    val bound   = applyJoinComparisons(space, unified)
+    val at      = bound.columns.zipWithIndex.toMap
+    val head    = unified.headArgs.collect { case v: Var => at(v.name) }.toArray
+    val atoms   = unified.atoms.map(a => a.variables.map(v => at(v.name)).toArray).toArray
+    val negated = unified.atoms.map(_.negated).toArray
+    val schema  = StructType(bound.schema.fields ++
+      goalCols(atoms.length).map(StructField(_, BooleanType, nullable = false)))
+    bound.mapPartitions { (rows: Iterator[Row]) =>
+      val Lookups(existing, markers) = lookups.value
+      def key(r: Row, positions: Array[Int]) = Row.fromSeq(positions.toSeq.map(r.get))
+      rows.filterNot(r => existing.contains(key(r, head))).map { r =>
+        Row.fromSeq(r.toSeq ++ atoms.indices.map(i => markers(i).contains(key(r, atoms(i))) != negated(i)))
+      }
+    }(Encoders.row(schema))
+  }
+
   /** Apply every comparison that [[varDomain]] did not push below: the
     * variable–variable ones (`θ_join`, paper §5.2) and the constant–constant
     * ones unification leaves behind, which Catalyst folds — a violated one
@@ -120,9 +186,9 @@ object DerivationOps {
     unified.comparisons.filterNot(_.isVarConst)
       .foldLeft(bind)((df, c) => df.where(DatalogEval.comparisonCol(c)))
 
-  /** `Q_der` (paper §5.2 step 2): drop derivations whose head is an existing
-    * answer, by anti-joining against `answers` (σ_t(Q), columns `c0..`) on
-    * the head variables that the p-tuple left unbound. A fully ground head
+  /** Relational `Q_der` (paper §5.2 step 2): drop derivations whose head is
+    * an existing answer, by anti-joining against `answers` (σ_t(Q), columns
+    * `c0..`) on the head variables that the p-tuple left unbound. A fully ground head
     * has no such variable: the condition is `true`, and every derivation
     * goes iff the answer exists.
     */
@@ -133,11 +199,12 @@ object DerivationOps {
     bind.join(answers, cond, "left_anti")
   }
 
-  /** `Q_goals`/`Q_sample` annotation step (paper §5.2 step 3): left-outer
-    * join each body atom's (deduplicated) variable bindings on its variables
-    * and derive the boolean goal flag from marker existence — inverted for
-    * negated goals. A ground atom's bindings have no column: one row if the
-    * tuple exists, none otherwise, joined to every derivation without a key.
+  /** Relational `Q_goals`/`Q_sample` annotation (paper §5.2 step 3):
+    * left-outer join each body atom's (deduplicated) variable bindings on
+    * its variables and derive the boolean goal flag from marker existence —
+    * inverted for negated goals. A ground atom's bindings have no column:
+    * one row if the tuple exists, none otherwise, joined to every derivation
+    * without a key.
     * Output: input columns plus `g0..g(m-1)`.
     */
   private def annotate(bind: DataFrame, unified: Rule, catalog: Catalog): DataFrame = {

@@ -7,37 +7,43 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StructType
 import repro.datalog._
 import repro.prov.{DerivationOps, WhyProv}
+import java.util.concurrent.atomic.AtomicInteger
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
+import scala.reflect.ClassTag
 
 /** Batch sampling of why-not (and why) provenance (paper §5).
   *
-  * The sampling pipeline is compiled into a Catalyst plan over the
-  * variables' domains, which are collected to the driver first:
+  * A why-not question first collects to the driver, in one Spark job with
+  * one task per frame, every distinct variable domain and every body atom's
+  * goal markers (its distinct bindings) of its rules, and, on a second
+  * thread meanwhile, σ_t(Q). Each rule's sample is then one map stage over
+  * `range(n_OS)` against those values, broadcast, followed by δ and `takeN`:
   *
   *  - `Q_X`  — `n_OS` valuations drawn uniformly with replacement from the
   *    unbound variables' domains (the paper's
   *    `#_id(SAMPLE_nOS(σ_θX(D_A1 ∪ …)))`, one per variable, zipped on
-  *    `#_id`). All draws come from one `range(n_OS)`: draw `id` looks up
-  *    each variable's value in its collected domain at a deterministic hash
-  *    index of `id`, so the zip is implicit in the draw id, the plan has no
-  *    join, window or exchange, and it is reproducible from the seed
-  *    ([[draw]]).
-  *  - `Q_bind` — `θ_join` over the draws.
-  *  - `Q_der`  — anti-join against σ_t(Q), cached once per question: the
-  *    rules of a union share it, as they share the collected domains.
-  *  - `Q_sample` — outer-join goal annotation + δ.
+  *    `#_id`). Draw `id` looks up each variable's value in its collected
+  *    domain at a deterministic hash index of `id`, so the zip is implicit
+  *    in the draw id, and it is reproducible from the seed ([[draw]]).
+  *  - `Q_bind` — `θ_join` over the draws, a Catalyst filter.
+  *  - `Q_der`  — a draw whose head is an existing answer is dropped: a
+  *    lookup in σ_t(Q), not the paper's anti-join.
+  *  - `Q_sample` — goal annotation as a lookup in each atom's markers, not
+  *    the paper's outer joins, then δ.
   *
-  * `Q_bind`'s θ_join, `Q_der` and the annotation are
+  * `Q_der` and the annotation by lookup are
+  * [[repro.prov.DerivationOps.lookupDerivations]]; the relational
   * [[repro.prov.DerivationOps.whynotDerivations]], which FULL enumeration
-  * runs over the whole space instead.
+  * runs over the whole space, gives the same rows. The rules of a union
+  * are sampled concurrently.
   *
   * `n_OS` comes from [[OverSampling]] so that with probability `P_success`
   * at least `n_S` draws survive both `θ_join` and the missing-answer filter.
   *
   * Each rule's sample is collected to the driver once, and everything
-  * downstream reads those rows. The caches a question makes on the way live
-  * only inside [[sample]].
+  * downstream reads those rows. The broadcasts a question makes, and a why
+  * question's caches, live only inside [[sample]].
   */
 object BatchSampler {
 
@@ -92,8 +98,9 @@ object BatchSampler {
 
   /** `Q_X`: `n` valuations drawn uniformly with replacement, one `schema`
     * column per domain of `domains` (collected by
-    * [[DerivationOps.collectDomains]], in Spark's order). Draw `id` of
-    * `range(n)` takes, from domain `i`, the value at index
+    * [[DerivationOps.collectArrays]] of [[DerivationOps.domainValues]], in
+    * Spark's order). Draw `id` of `range(n)` takes, from domain `i`, the
+    * value at index
     * `pmod(xxhash64(id, seed + 7919·(i+1)), |D_i|)`, which is
     * `XXH64.hashLong(seed + 7919·(i+1), XXH64.hashLong(id, 42))`: a lookup,
     * with no join, window or exchange. Deterministic in `seed`.
@@ -127,13 +134,12 @@ object BatchSampler {
     * also contributes nothing when its §5.3 estimate of the why-not share
     * is 0.
     *
-    * The variable domains are not cached: the distinct domains of all the
-    * question's rules are collected to the driver together, in one job, and
-    * broadcast once per rule, and every space is read from them. It owns
-    * every cache and broadcast the question makes — σ_t(Q) (why-not only,
-    * cached and counted once), a why rule's captured derivations and a
-    * why-not rule's domains — and releases them all before it returns or
-    * throws.
+    * A why-not question caches nothing. The distinct domains and goal
+    * markers of all its rules are collected to the driver together, in one
+    * job, while σ_t(Q) is collected on a second thread; each rule's share of
+    * them is broadcast, and the rules are sampled concurrently. It owns
+    * every broadcast, and a why question's cached derivations, and releases
+    * them all before it returns or throws.
     */
   def sample(
       spark: SparkSession,
@@ -155,15 +161,17 @@ object BatchSampler {
 
   /** [[sample]] over `rules` of `program`. Every cache goes through
     * `cached` and every broadcast through `shared`, which record it for the
-    * one release in `finally`. The domains of all why-not rules come from
-    * one [[DerivationOps.collectDomains]], handed out rule by rule in order.
+    * one release in `finally`; both are called on this thread only. The
+    * domains and markers of all why-not rules come from one
+    * [[DerivationOps.collectArrays]], handed out rule by rule in order, and
+    * σ_t(Q) is collected once, cast to every rule's [[DerivationOps.headKey]].
     */
   private def sampleRules(spark: SparkSession, program: Program, rules: Seq[Rule], catalog: Catalog,
                           pq: ProvQuestion, cfg: Config): Vector[RuleSample] = {
     val held = mutable.ArrayBuffer.empty[() => Unit]
     def cached(df: DataFrame): DataFrame = { held += (() => df.unpersist()); df.cache() }
-    def shared(domains: Seq[Array[Any]]): Broadcast[Seq[Array[Any]]] = {
-      val b = spark.sparkContext.broadcast(domains)
+    def shared[T: ClassTag](value: T): Broadcast[T] = {
+      val b = spark.sparkContext.broadcast(value)
       held += (() => b.destroy())
       b
     }
@@ -171,29 +179,80 @@ object BatchSampler {
     try pq.qtype match {
       case Why => unified.flatMap { case (r, u) => why(r, u, catalog, cfg, cached) }
       case Whynot =>
-        val answers   = cached(DatalogEval.restrictedAnswers(program, catalog, pq.tuple))
-        val nExisting = answers.count()
-        val frames    = unified.map { case (_, u) =>
+        val frames  = unified.map { case (_, u) =>
           u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
         }
-        val values    = DerivationOps.collectDomains(frames.flatten).iterator
-        unified.zip(frames).flatMap { case ((r, u), fs) =>
-          whynot(spark, r, u, StructType(fs.map(_.schema.head)), shared(fs.map(_ => values.next())),
-            catalog, answers, nExisting, cfg)
+        val types   = frames.map(_.map(f => f.columns.head -> f.schema.head.dataType).toMap)
+        val markers = unified.zip(types).map { case ((_, u), ts) =>
+          u.rule.atoms.map(a => DerivationOps.goalMarkers(a, catalog, ts))
         }
+        val heads   = unified.zip(types).map { case ((_, u), ts) => DerivationOps.headKey(u.rule, ts) }
+        val keyCols = heads.flatten.distinct
+        val answers = DatalogEval.restrictedAnswers(program, catalog, pq.tuple)
+          .select(keyCols.map { case (i, t) => col(s"c$i").cast(t) }: _*)
+        val Vector(existing: Array[Row] @unchecked, arrays: Seq[Array[Any]] @unchecked) =
+          concurrently(spark, Vector(() => answers.collect(),
+            () => DerivationOps.collectArrays(frames.indices.flatMap(r =>
+              frames(r).map(DerivationOps.domainValues) ++ markers(r)))))(_())
+        val values  = arrays.iterator
+        val inputs  = unified.indices.map { r =>
+          val domains = frames(r).map(_ => values.next())
+          val key     = heads(r).map(keyCols.indexOf)
+          val keys    = existing.map(a => Row.fromSeq(key.map(a.get))).toSet
+          val goals   = markers(r).map(_ => values.next().iterator.map(_.asInstanceOf[Row]).toSet).toVector
+          (StructType(frames(r).map(_.schema.head)), shared[Seq[Array[Any]]](domains),
+            shared(DerivationOps.Lookups(keys, goals)))
+        }
+        concurrently(spark, unified.zip(inputs)) { case ((r, u), (schema, domains, lookups)) =>
+          whynot(spark, r, u, schema, domains, lookups, existing.length, cfg)
+        }.flatten
     } finally held.reverseIterator.foreach(_())
+  }
+
+  /** `f` of every one of `xs`, on up to `defaultParallelism` threads that
+    * this thread creates, so that they inherit its job tags, job group and
+    * active session: cancelling this thread's jobs cancels theirs. The
+    * results come in the order of `xs`. Once every thread has ended, the
+    * first failure in that order is rethrown; an interrupt is passed on to
+    * the threads, which are still waited for.
+    */
+  private def concurrently[A, B](spark: SparkSession, xs: Vector[A])(f: A => B): Vector[B] = {
+    val results = new Array[Either[Throwable, B]](xs.size)
+    val next    = new AtomicInteger
+    val threads = Vector.fill(math.min(xs.size, spark.sparkContext.defaultParallelism)) {
+      val t = new Thread(() => {
+        var i = next.getAndIncrement()
+        while (i < xs.size) {
+          results(i) = try Right(f(xs(i))) catch { case e: Throwable => Left(e) }
+          i = next.getAndIncrement()
+        }
+      })
+      t.setDaemon(true)
+      t.start()
+      t
+    }
+    var interrupted: Option[InterruptedException] = None
+    threads.foreach { t =>
+      while (t.isAlive) try t.join() catch {
+        case e: InterruptedException =>
+          interrupted = interrupted.orElse(Some(e))
+          threads.foreach(_.interrupt())
+      }
+    }
+    interrupted.foreach(throw _)
+    results.toVector.map(_.fold(throw _, identity))
   }
 
   /** Why-not provenance of the unified rule `u`, whose unbound variables
     * (the `schema` columns) range over the collected `domains`:
-    * [[DerivationOps.whynotDerivations]] over the full space when it holds
-    * at most `max(1, fullEnumFactor · nS)` valuations (a ground rule's one
-    * valuation and an empty domain's none included), else over the batch
-    * sample of §5.2, sized by the §5.3 estimate. `answers` is σ_t(Q), of
+    * [[DerivationOps.lookupDerivations]] against `lookups` over the full
+    * space when it holds at most `max(1, fullEnumFactor · nS)` valuations (a
+    * ground rule's one valuation and an empty domain's none included), else
+    * over the batch sample of §5.2, sized by the §5.3 estimate. σ_t(Q) has
     * `nExisting` rows.
     */
   private def whynot(spark: SparkSession, rule: Rule, u: Unify.Unified, schema: StructType,
-                     domains: Broadcast[Seq[Array[Any]]], catalog: Catalog, answers: DataFrame,
+                     domains: Broadcast[Seq[Array[Any]]], lookups: Broadcast[DerivationOps.Lookups],
                      nExisting: Long, cfg: Config): Option[RuleSample] = {
     val sizes     = domains.value.map(_.length.toLong)
     val spaceSize = sizes.map(_.toDouble).product
@@ -203,7 +262,7 @@ object BatchSampler {
       // provenance inside a huge space must still be sampled — enumeration
       // cost is O(spaceSize), not O(provenance).)
       val space = DerivationOps.fullSpace(spark, schema, domains)
-      return collected(DerivationOps.whynotDerivations(space, answers, catalog, u.rule))
+      return collected(DerivationOps.lookupDerivations(space, u.rule, lookups))
         .map(rows => RuleSample(rule, u, rows, 0L, rows.size.toDouble, exact = true))
     }
 
@@ -229,7 +288,7 @@ object BatchSampler {
 
     val nOS       = OverSampling.minOverSample(cfg.nS, pDraw, cfg.pSuccess, cfg.nOSCap)
     val space     = draw(spark, schema, domains, nOS, cfg.seed)
-    val annotated = DerivationOps.whynotDerivations(space, answers, catalog, u.rule).distinct()
+    val annotated = DerivationOps.lookupDerivations(space, u.rule, lookups).distinct()
     collected(takeN(annotated, cfg.nS, cfg.seed))
       .map(rows => RuleSample(rule, u, rows, nOS, provEstimate, exact = false))
   }

@@ -107,6 +107,18 @@ object TopK {
       k: Int,
       maxPatterns: Int = 300,
       maxPops: Long = 3000L,
+  ): Summary = search(all, k, maxPatterns, maxPops, frontier = 100000)
+
+  /** [[summarize]] with a frontier-memory guard: a candidate popped while
+    * more than `frontier` are open is not expanded. Its completions go
+    * unexamined, so a search that dropped one is never reported optimal.
+    */
+  private[summarize] def search(
+      all: Vector[Pattern],
+      k: Int,
+      maxPatterns: Int,
+      maxPops: Long,
+      frontier: Int,
   ): Summary = {
     require(k >= 1, s"k=$k")
     val ps = all.distinct.sorted(rank).take(maxPatterns)
@@ -171,15 +183,17 @@ object TopK {
     var pops    = 0L
     var optimal = false
     var done    = false
+    var dropped = false
     while (!done && queue.nonEmpty) {
       val c = queue.dequeue()
       pops += 1
-      if (c.scHigh <= incumbent.scLow) { optimal = true; done = true }
+      if (c.scHigh <= incumbent.scLow) { optimal = !dropped; done = true }
       else {
         if (c.idxs.size == k) {
           if (c.scLow > incumbent.scLow) incumbent = c
           if (mid(c) > mid(bestMid)) bestMid = c
-        } else if (queue.size <= 100000) { // frontier-memory guard
+        } else if (queue.size > frontier) dropped = true
+        else {
           val need = k - c.idxs.size
           var i = c.idxs.last + 1
           while (i <= n - need) {
@@ -192,7 +206,7 @@ object TopK {
         if (pops >= maxPops) done = true
       }
     }
-    if (queue.isEmpty) optimal = true
+    if (queue.isEmpty) optimal = !dropped
 
     val winner  = if (optimal) incumbent
                   else if (mid(bestMid) > mid(incumbent)) bestMid else incumbent

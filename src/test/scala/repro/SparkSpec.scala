@@ -1,7 +1,8 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.{ListenerBusDrain, LiveBroadcasts}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.sql.{CacheEntries, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -30,18 +31,28 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   def broadcasts: Set[Long] = LiveBroadcasts(spark.sparkContext)
 
   /** The Spark jobs `body` starts. */
-  def jobsOf[A](body: => A): (A, Int) = {
-    val sc = spark.sparkContext
-    var jobs = 0
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized(jobs += 1)
-    }
+  def jobsOf[A](body: => A): (A, Int) = counted(body)(count => new SparkListener {
+    override def onJobStart(e: SparkListenerJobStart): Unit = count.incrementAndGet()
+  })
+
+  /** The Spark stages `body` runs: a stage a job skips, because an earlier
+    * job wrote its shuffle output, is not counted.
+    */
+  def stagesOf[A](body: => A): (A, Int) = counted(body)(count => new SparkListener {
+    override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = count.incrementAndGet()
+  })
+
+  /** The events of `body` that the listener `counting` counts. */
+  private def counted[A](body: => A)(counting: AtomicInteger => SparkListener): (A, Int) = {
+    val sc       = spark.sparkContext
+    val count    = new AtomicInteger
+    val listener = counting(count)
     ListenerBusDrain(sc)
     sc.addSparkListener(listener)
     try {
       val a = body
       ListenerBusDrain(sc)
-      (a, listener.synchronized(jobs))
+      (a, count.get)
     } finally sc.removeSparkListener(listener)
   }
 

@@ -1,13 +1,18 @@
 package repro.sampling
 
 import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LocalRelation, Window}
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan, TakeOrderedAndProjectExec}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
 import org.apache.spark.sql.execution.exchange.Exchange
+import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.expressions.{Window => W}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
@@ -24,6 +29,18 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   private val tEx         = PTuple("Qex", Vector(Var("X"), Const(4L)))
   private val tAirbnb     = PTuple("AL", Vector(Var("N"), Const("shared")))
   private val cfg         = BatchSampler.Config(nS = 50, seed = 7L)
+
+  /** movies 100 as local relations, read without an exchange like the
+    * checkpointed catalog of a benchmark.
+    */
+  private lazy val localMovies = {
+    val movies = Datasets.movies(spark, 100)
+    Catalog(Seq("MOVIES", "CASTS", "GENRES", "KEYWORDS", "RATINGS").map { n =>
+      val r = movies.relation(n)
+      n -> spark.createDataFrame(r.collect().toSeq.asJava, r.schema)
+    }: _*)
+  }
+  private val tomFord = PTuple("Players", Vector(Const("tom ford")))
 
   private def domains(sizes: Seq[Int]) = {
     import spark.implicits._
@@ -92,19 +109,11 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("Q_X is a lookup: one job collects a union's domains, and the draw has no window, join or exchange") {
-    // movies 100 as local relations, read without an exchange like a
-    // checkpointed catalog.
-    val movies = Datasets.movies(spark, 100)
-    val local  = Catalog(Seq("MOVIES", "CASTS", "GENRES", "KEYWORDS", "RATINGS").map { n =>
-      val r = movies.relation(n)
-      n -> spark.createDataFrame(r.collect().toSeq.asJava, r.schema)
-    }: _*)
-    val t      = PTuple("Players", Vector(Const("tom ford")))
     val frames = Queries.r4.rules.map { r =>
-      val u = Unify.unify(r, t).get
-      u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, local))
+      val u = Unify.unify(r, tomFord).get
+      u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, localMovies))
     }
-    val (values, jobs) = jobsOf(DerivationOps.collectDomains(frames.flatten))
+    val (values, jobs) = jobsOf(DerivationOps.collectArrays(frames.flatten.map(DerivationOps.domainValues)))
     assert(jobs == 1)
     // Each distinct domain is collected once: r4′ and r4″ share all 13 of
     // theirs, and 12 with r4. I also binds KEYWORDS.k_movie in r4′ and r4″.
@@ -129,11 +138,94 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
     val movies = Datasets.movies(spark, 100)
     val (caches, shared) = (cacheState, broadcasts)
-    val samples = BatchSampler.sample(spark, Queries.r4, movies,
-      ProvQuestion(PTuple("Players", Vector(Const("tom ford"))), Whynot), forced)
+    // Nor does it cache anything on the way: the state as each job starts.
+    val seen  = new java.util.concurrent.ConcurrentLinkedQueue[(Set[Int], Int)]()
+    val watch = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = seen.add(cacheState)
+    }
+    spark.sparkContext.addSparkListener(watch)
+    val (samples, jobs) =
+      try jobsOf(BatchSampler.sample(spark, Queries.r4, movies, ProvQuestion(tomFord, Whynot), forced))
+      finally spark.sparkContext.removeSparkListener(watch)
     assert(samples.size == 3 && !samples.exists(_.exact))
+    assert(seen.size == jobs && seen.asScala.forall(_ == caches))
     assert(cacheState == caches)
     eventually(timeout(10.seconds))(assert(broadcasts.subsetOf(shared)))
+  }
+
+  test("a rule that throws makes its question throw, and leaves no cache or broadcast behind") {
+    import spark.implicits._
+    // Q(X) :- S(X), R(X, 9) has no answer and a space of 3 valuations,
+    // enumerated. Q(X) :- R(X, Y), R(Y, Z) has the answers 1 and 5 and 90
+    // valuations, sampled at nS = 1: sizing its n_OS rejects P_success = 1
+    // on the second rule's thread.
+    val x   = Vector(Var("X"))
+    val q   = Program(Rule("q1", "Q", x, Vector(Atom("S", x), Atom("R", Vector(Var("X"), Const(9L))))),
+      Rule("q2", "Q", x, Vector(Atom("R", Vector(Var("X"), Var("Y"))), Atom("R", Vector(Var("Y"), Var("Z"))))))
+    val cat = Catalog("R" -> rex.relation("R"), "S" -> Seq(1L, 2L).toDF("s"))
+    val t   = ProvQuestion(PTuple("Q", Vector(Var("X"))), Whynot)
+    val ok  = BatchSampler.sample(spark, q, cat, t, cfg.copy(nS = 1))
+    assert(ok.map(_.exact) == Vector(true, false))
+    val (caches, shared) = (cacheState, broadcasts)
+    val e = intercept[IllegalArgumentException](BatchSampler.sample(spark, q, cat, t, cfg.copy(nS = 1, pSuccess = 1.0)))
+    assert(e.getMessage.contains("pSuccess=1.0"), e)
+    assert(cacheState == caches)
+    eventually(timeout(10.seconds))(assert(broadcasts.subsetOf(shared)))
+  }
+
+  test("cancelling the question's job tag stops the jobs of its rule threads") {
+    // n_OS at its 2M cap: each rule's sample runs long enough to be
+    // cancelled while it runs.
+    val heavy = cfg.copy(fullEnumFactor = 0.0, nS = 1000000)
+    val sc    = spark.sparkContext
+    val tag   = "batch-sampler-cancel"
+    val (caches, shared) = (cacheState, broadcasts)
+    @volatile var outcome: Either[Throwable, Vector[BatchSampler.RuleSample]] = null
+    val question = new Thread(() => {
+      sc.addJobTag(tag)
+      outcome = try Right(BatchSampler.sample(spark, Queries.r4, localMovies, ProvQuestion(tomFord, Whynot), heavy))
+                catch { case e: Throwable => Left(e) }
+    })
+    question.start()
+    // Each rule's two broadcasts are made on the question's thread just
+    // before the rule threads start; from then on, cancel the tag's jobs.
+    eventually(timeout(60.seconds), interval(5.millis))(assert((broadcasts -- shared).size >= 6 || !question.isAlive))
+    while (question.isAlive) { sc.cancelJobsWithTag(tag); question.join(20) }
+    assert(outcome.isLeft, "the question ran to its end")
+    assert(Iterator.iterate[Throwable](outcome.swap.toOption.get)(_.getCause).takeWhile(_ != null)
+      .exists(e => String.valueOf(e.getMessage).contains(tag)), outcome)
+    assert(cacheState == caches)
+    eventually(timeout(10.seconds))(assert(broadcasts.subsetOf(shared)))
+  }
+
+  test("Q_sample is one map stage: no join or exchange below δ, and a bounded count of jobs and stages") {
+    val forced  = cfg.copy(fullEnumFactor = 0.0, nS = 20)
+    val plans   = new java.util.concurrent.ConcurrentLinkedQueue[SparkPlan]()
+    val capture = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        plans.add(qe.executedPlan)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(capture)
+    val ((samples, stages), jobs) =
+      try jobsOf(stagesOf(BatchSampler.sample(spark, Queries.r4, localMovies, ProvQuestion(tomFord, Whynot), forced)))
+      finally spark.listenerManager.unregister(capture)
+    assert(samples.size == 3 && !samples.exists(_.exact))
+    // Each rule's sample is the one plan with a takeN. Below its δ (the
+    // partial aggregate) is a single map stage over range(n_OS).
+    val sampled = plans.asScala.toVector.filter(p => collect(p) { case t: TakeOrderedAndProjectExec => t }.nonEmpty)
+    assert(sampled.size == 3)
+    sampled.foreach { p =>
+      val delta = collect(p) { case a: BaseAggregateExec => a }
+        .filter(a => collect(a.child) { case b: BaseAggregateExec => b }.isEmpty)
+      assert(delta.size == 1, p)
+      assert(collect(delta.head.child) { case j: BaseJoinExec => j; case e: Exchange => e }.isEmpty, p)
+      assert(collect(p) { case j: BaseJoinExec => j }.isEmpty, p)
+    }
+    // σ_t(Q) takes 11 jobs of one stage each (its adaptive plan runs each
+    // shuffle stage as a job), the domains and markers 1, and each rule's
+    // sample 2: its map stage and the takeN after δ's exchange.
+    assert(jobs <= 18 && stages <= 18, (jobs, stages))
   }
 
   test("forced sampling returns exactly the rows of the per-variable zip pipeline") {
@@ -149,6 +241,52 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       assert(!s.exact, rule.name)
       val ref = BatchSamplerSpec.zipSample(spark, program, rule, cat, t, s.nOS, forced)
       assert(multiset(s.sample) == multiset(ref), rule.name)
+    }
+  }
+
+  test("Q_der and annotation by lookup equal the relational anti- and outer joins") {
+    import spark.implicits._
+    val (a, b, x, y, z) = (Var("A"), Var("B"), Var("X"), Var("Y"), Var("Z"))
+    def rule(name: String, head: Vector[Term], body: Atom*) = Program(Rule(name, name, head, body.toVector))
+    // R(1,2) R(2,3) R(2,4) R(5,3) R(5,5) R(5,6).
+    val ground  = rule("Qa", Vector(a, b), Atom("R", Vector(a, y)), Atom("R", Vector(y, z)),
+      Atom("R", Vector(b, Const(4L))))
+    val negated = rule("Qn", Vector(a, b), Atom("R", Vector(a, b)), Atom("R", Vector(b, a), negated = true))
+    val twice   = rule("Qr", Vector(a), Atom("R", Vector(a, a)), Atom("R", Vector(a, b)))
+    val mixed   = rule("Qt", Vector(a, b), Atom("S", Vector(a)), Atom("T", Vector(a)), Atom("T", Vector(b)))
+    val withNull = Catalog("R" -> Seq((Some(1L), Some(2L)), (Some(2L), None), (None, Some(4L)), (Some(2L), Some(4L)),
+      (Some(4L), Some(6L))).toDF("r_a", "r_b"))
+    // S.s is an int, T.t a bigint: A's domain is a bigint. D.d is a date,
+    // E.e a timestamp: A's domain is a timestamp, and a date marker equals
+    // a derivation value only once cast to it.
+    val ints    = Catalog("S" -> Seq(1, 2, 3).toDF("s"), "T" -> Seq(2L, 3L, 4L).toDF("t"))
+    val days    = Seq("2016-11-09", "2016-11-10", "2016-11-11")
+    val times   = Catalog("S" -> days.take(2).map(java.sql.Date.valueOf).toDF("s"),
+      "T" -> days.drop(1).map(d => java.sql.Timestamp.valueOf(s"$d 00:00:00")).toDF("t"))
+    def tuple(p: String, args: Term*) = PTuple(p, args.toVector)
+    for ((program, cat, t) <- Seq(
+        (Queries.rEx, rex, tEx),                                      // a partly bound head
+        (Queries.rEx, rex, tuple("Qex", Const(2L), Const(4L))),       // a ground head, no answer
+        (Queries.rEx, rex, tuple("Qex", Const(1L), Const(4L))),       // a ground head, an answer
+        (ground, rex, tuple("Qa", x, Const(2L))),                     // R(2, 4) present
+        (ground, rex, tuple("Qa", x, Const(1L))),                     // R(1, 4) absent
+        (negated, rex, tuple("Qn", x, y)),
+        (twice, rex, tuple("Qr", x)),
+        (Queries.rEx, withNull, tuple("Qex", x, y)),
+        (mixed, ints, tuple("Qt", x, y)),
+        (mixed, times, tuple("Qt", x, y)))) {
+      val r    = program.rules.head
+      val full = multiset(FullWhyNot.derivations(spark, program, r, cat, t).get)
+      assert(full.isEmpty == (t == tuple("Qex", Const(1L), Const(4L))), t)
+      val exact = BatchSampler.whynotSample(spark, program, r, cat, t, cfg.copy(fullEnumFactor = Double.MaxValue))
+      assert(exact.forall(_.exact) && exact.fold(Seq.empty[String])(s => multiset(s.sample)) == full, t)
+      val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
+      BatchSampler.whynotSample(spark, program, r, cat, t, forced) match {
+        case Some(s) =>
+          assert(!s.exact, t)
+          assert(multiset(s.sample) == multiset(BatchSamplerSpec.zipSample(spark, program, r, cat, t, s.nOS, forced)), t)
+        case None => assert(full.isEmpty, t)
+      }
     }
   }
 
@@ -319,7 +457,7 @@ object BatchSamplerSpec {
     * them to [[BatchSampler.draw]] and [[DerivationOps.fullSpace]].
     */
   def collected(spark: SparkSession, frames: Seq[DataFrame]): (StructType, Broadcast[Seq[Array[Any]]]) =
-    (StructType(frames.map(_.schema.head)), spark.sparkContext.broadcast(DerivationOps.collectDomains(frames)))
+    (StructType(frames.map(_.schema.head)), spark.sparkContext.broadcast(DerivationOps.collectArrays(frames.map(DerivationOps.domainValues))))
 
   /** The batch-sampled why-not rows of `rule` from [[zipDraw]]: `nOS` zipped
     * draws, then [[DerivationOps.whynotDerivations]], δ and `takeN`.

@@ -123,6 +123,25 @@ class TopKSpec extends AnyFunSuite {
     assert(s.patterns.distinct.size == 5)
   }
 
+  test("a search whose frontier guard drops a candidate is not reported optimal") {
+    // Pairwise disjoint, so the unguarded search certifies its winner, and
+    // only after expanding singletons into pairs. With a frontier of 0 no
+    // candidate is expanded: their completions go unexamined.
+    val ps = Vector(
+      p("r", 0.30, Some(1L), Some(1L))(true),
+      p("r", 0.25, Some(2L), None)(true),
+      p("r", 0.20, Some(3L), Some(3L))(true),
+      p("r", 0.15, Some(4L), None)(true),
+      p("r", 0.10, Some(5L), Some(5L))(true))
+    val full = TopK.summarize(ps, k = 2)
+    assert(full.optimal && full.pops > 1)
+    val guarded = TopK.search(ps, k = 2, maxPatterns = 300, maxPops = 3000L, frontier = 0)
+    assert(!guarded.optimal, guarded)
+    assert(guarded.patterns.distinct.size == 2)
+    // A guard the search never reaches changes nothing.
+    assert(TopK.search(ps, k = 2, maxPatterns = 300, maxPops = 3000L, frontier = 100) == full)
+  }
+
   test("maxPatterns guard trims the candidate pool") {
     val ps = Vector.tabulate(50)(i =>
       p("r", 0.02, Some(i.toLong), Some(i.toLong))(true))

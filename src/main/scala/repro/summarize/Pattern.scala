@@ -35,20 +35,15 @@ final case class Pattern(
     */
   def generalizedBy(that: Pattern): Boolean =
     ruleName == that.ruleName && goals == that.goals && arity == that.arity &&
-      args.zip(that.args).forall {
-        case (_, None)            => true
-        case (Some(a), Some(b))   => a == b
-        case (None, Some(_))      => false
-      }
+      args.indices.forall(i => that.args(i).isEmpty || args(i) == that.args(i))
 
   /** `p1 ⊥p p2` (paper §8.1): different rules, different goal annotations,
     * or a conflicting constant at some position. Implies disjoint match sets.
     */
   def disjointWith(that: Pattern): Boolean =
     ruleName != that.ruleName || goals != that.goals ||
-      args.zip(that.args).exists {
-        case (Some(a), Some(b)) => a != b
-        case _                  => false
+      (0 until math.min(arity, that.arity)).exists { i =>
+        args(i).isDefined && that.args(i).isDefined && args(i) != that.args(i)
       }
 
   /** Does this pattern match an annotated derivation (paper Def. 5)?

@@ -94,9 +94,11 @@ class PatternLawsSpec extends AnyFunSuite {
 
   test("TopK bound sandwich: greedy S_lb <= exact S_lb <= S_ub sum semantics") {
     check(Prop.forAll(Gen.choose(2, 7).flatMap(Gen.listOfN(_, patternGen(3, 1)))) { ps =>
-      val lo = TopK.cpLowerBound(ps)
-      val ex = TopK.cpLowerBoundExact(ps)
-      val hi = TopK.cpUpperBound(ps)
+      val rel = new TopK.Relations(ps.toVector)
+      val all = Array.range(0, ps.size)
+      val lo  = rel.lowerBound(all)
+      val ex  = rel.exactLowerBound(all)
+      val hi  = rel.upperBound(all)
       lo <= ex + 1e-12 && ex <= math.min(1.0, ps.map(_.cp).sum) + 1e-12 && hi >= 0.0
     }, "sandwich")
   }
@@ -106,7 +108,32 @@ class PatternLawsSpec extends AnyFunSuite {
     check(Prop.forAll(Gen.choose(1, 6), Gen.choose(0.0, 0.15)) { (n, cp) =>
       val ps = (0 until n).map(i =>
         Pattern("r", Vector(Some(i.toLong), None), Vector(true), cp))
-      math.abs(TopK.cpLowerBoundExact(ps) - TopK.cpUpperBound(ps)) < 1e-9
+      val rel = new TopK.Relations(ps.toVector)
+      val all = Array.range(0, n)
+      math.abs(rel.exactLowerBound(all) - rel.upperBound(all)) < 1e-9
     }, "disjoint-tight")
+  }
+
+  test("the kernel's bounds equal the reference's on member sets of up to 15 and of more") {
+    // Two rules of different arity, cp from three values so the greedy
+    // bound's scan meets ties, and pools that repeat a pattern's key.
+    val pattern = for {
+      rule <- Gen.oneOf("r", "s")
+      args <- Gen.listOfN(if (rule == "r") 3 else 2, argGen)
+      gs   <- Gen.listOfN(1, Gen.oneOf(true, false))
+      cp   <- Gen.oneOf(0.05, 0.1, 0.25)
+    } yield Pattern(rule, args.toVector, gs.toVector, cp)
+    def agree(minSize: Int, maxSize: Int) = Prop.forAll(
+      Gen.choose(maxSize, 30).flatMap(Gen.listOfN(_, pattern)), Gen.choose(minSize, maxSize), Gen.long
+    ) { (pool, size, seed) =>
+      val rel     = new TopK.Relations(pool.toVector)
+      val members = new scala.util.Random(seed).shuffle(pool.indices.toVector).take(size)
+      val ps      = members.map(pool)
+      rel.lowerBound(members.toArray) == TopKReference.cpLowerBound(ps) &&
+        rel.exactLowerBound(members.toArray) == TopKReference.cpLowerBoundExact(ps) &&
+        rel.upperBound(members.toArray) == TopKReference.cpUpperBound(ps)
+    }
+    check(agree(1, 15), "up to 15 members")
+    check(agree(16, 30), "more than 15 members")
   }
 }

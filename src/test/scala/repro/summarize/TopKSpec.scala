@@ -9,14 +9,22 @@ class TopKSpec extends AnyFunSuite {
   private def p(name: String, cp: Double, args: Option[Any]*)(goals: Boolean*) =
     Pattern(name, args.toVector, goals.toVector, cp)
 
+  /** The kernel's greedy `S_lb`, exact `S_lb` and `S_ub` of a whole pool. */
+  private def bounds(ps: Seq[Pattern]): (Double, Double, Double) = {
+    val rel = new TopK.Relations(ps.toVector)
+    val all = Array.range(0, ps.size)
+    (rel.lowerBound(all), rel.exactLowerBound(all), rel.upperBound(all))
+  }
+
   test("paper Ex 10: generalization and disjointness tighten the bounds to 0.99") {
     val pa  = p("r", 0.44, Some(2L), None)(false, false)
     val pb  = p("r", 0.55, Some(3L), None)(false, false)
     val pc  = p("r", 0.10, Some(2L), Some(1L))(false, false)
     val s   = Seq(pa, pb, pc)
     assert(pa.disjointWith(pb) && pb.disjointWith(pc) && pc.generalizedBy(pa))
-    assert(math.abs(TopK.cpLowerBoundExact(s) - 0.99) < 1e-12)
-    assert(math.abs(TopK.cpUpperBound(s) - 0.99) < 1e-12)
+    val (_, exact, upper) = bounds(s)
+    assert(math.abs(exact - 0.99) < 1e-12)
+    assert(math.abs(upper - 0.99) < 1e-12)
   }
 
   test("greedy lower bound never exceeds the exact one and both are valid") {
@@ -25,8 +33,7 @@ class TopKSpec extends AnyFunSuite {
       val ps = Vector.fill(2 + rnd.nextInt(6))(Pattern("r",
         Vector.fill(3)(if (rnd.nextBoolean()) Some(rnd.nextInt(3).toLong) else None),
         Vector(rnd.nextBoolean()), rnd.nextDouble() * 0.4))
-      val greedy = TopK.cpLowerBound(ps)
-      val exact  = TopK.cpLowerBoundExact(ps)
+      val (greedy, exact, _) = bounds(ps)
       assert(greedy <= exact + 1e-12)
       assert(exact <= math.min(1.0, ps.map(_.cp).sum) + 1e-12)
       assert(exact >= ps.map(_.cp).max - 1e-12) // singleton subsets allowed
@@ -36,13 +43,13 @@ class TopKSpec extends AnyFunSuite {
   test("upper bound drops generalized patterns") {
     val general  = p("r", 0.5, None, None)(true)
     val specific = p("r", 0.3, Some(1L), None)(true)
-    assert(math.abs(TopK.cpUpperBound(Seq(general, specific)) - 0.5) < 1e-12)
+    assert(math.abs(bounds(Seq(general, specific))._3 - 0.5) < 1e-12)
   }
 
   test("upper bound sums non-overlapping evidence and clamps at 1") {
     val a = p("r", 0.7, Some(1L))(true)
     val b = p("r", 0.6, Some(2L))(true)
-    assert(TopK.cpUpperBound(Seq(a, b)) == 1.0)
+    assert(bounds(Seq(a, b))._3 == 1.0)
   }
 
   test("n <= k returns all patterns") {
@@ -99,11 +106,12 @@ class TopKSpec extends AnyFunSuite {
         // Optimality certificate: winner's upper bound must be >= every
         // other complete set's lower bound.
         if (got.optimal) {
-          ps.combinations(k).foreach { c =>
-            val cpL = TopK.cpLowerBoundExact(c)
-            val inf = c.map(_.info).sum / k
+          val rel = new TopK.Relations(ps)
+          ps.indices.combinations(k).foreach { c =>
+            val cpL = rel.exactLowerBound(c.toArray)
+            val inf = c.map(ps(_).info).sum / k
             val scL = Pattern.harmonic(cpL, inf)
-            assert(got.scHigh >= scL - 1e-9, s"trial $trial: beaten by ${c.toSet}")
+            assert(got.scHigh >= scL - 1e-9, s"trial $trial: beaten by ${c.map(ps).toSet}")
           }
         }
         assert(got.patterns.size == k)

@@ -1,8 +1,9 @@
 package repro.sampling
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Observation, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
+import org.apache.spark.sql.execution.TakeOrderedAndProjectExec
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StructType
 import repro.datalog._
@@ -42,8 +43,8 @@ import scala.reflect.ClassTag
   * at least `n_S` draws survive both `θ_join` and the missing-answer filter.
   *
   * Each rule's sample is collected to the driver once, and everything
-  * downstream reads those rows. The broadcasts a question makes, and a why
-  * question's caches, live only inside [[sample]].
+  * downstream reads those rows. The sampler caches nothing; the broadcasts
+  * a question makes live only inside [[sample]].
   */
 object BatchSampler {
 
@@ -134,12 +135,10 @@ object BatchSampler {
     * also contributes nothing when its §5.3 estimate of the why-not share
     * is 0.
     *
-    * A why-not question caches nothing. The distinct domains and goal
-    * markers of all its rules are collected to the driver together, in one
-    * job, while σ_t(Q) is collected on a second thread; each rule's share of
-    * them is broadcast, and the rules are sampled concurrently. It owns
-    * every broadcast, and a why question's cached derivations, and releases
-    * them all before it returns or throws.
+    * A question caches nothing, and a why rule's sample is one collect. A
+    * why-not question collects its rules' distinct domains and goal markers
+    * in one job, and σ_t(Q) on a second thread, then samples the rules
+    * concurrently over broadcasts it destroys before it returns or throws.
     */
   def sample(
       spark: SparkSession,
@@ -159,25 +158,23 @@ object BatchSampler {
                 t: PTuple, cfg: Config): Option[RuleSample] =
     sampleRules(spark, program, Seq(rule), catalog, ProvQuestion(t, Why), cfg).headOption
 
-  /** [[sample]] over `rules` of `program`. Every cache goes through
-    * `cached` and every broadcast through `shared`, which record it for the
-    * one release in `finally`; both are called on this thread only. The
-    * domains and markers of all why-not rules come from one
+  /** [[sample]] over `rules` of `program`. Every broadcast goes through
+    * `shared`, on this thread only, which records it for the one release in
+    * `finally`. The domains and markers of all why-not rules come from one
     * [[DerivationOps.collectArrays]], handed out rule by rule in order, and
     * σ_t(Q) is collected once, cast to every rule's [[DerivationOps.headKey]].
     */
   private def sampleRules(spark: SparkSession, program: Program, rules: Seq[Rule], catalog: Catalog,
                           pq: ProvQuestion, cfg: Config): Vector[RuleSample] = {
-    val held = mutable.ArrayBuffer.empty[() => Unit]
-    def cached(df: DataFrame): DataFrame = { held += (() => df.unpersist()); df.cache() }
+    val held = mutable.ArrayBuffer.empty[Broadcast[_]]
     def shared[T: ClassTag](value: T): Broadcast[T] = {
       val b = spark.sparkContext.broadcast(value)
-      held += (() => b.destroy())
+      held += b
       b
     }
     val unified = rules.toVector.flatMap(r => Unify.unify(r, pq.tuple).map(r -> _))
     try pq.qtype match {
-      case Why => unified.flatMap { case (r, u) => why(r, u, catalog, cfg, cached) }
+      case Why => unified.flatMap { case (r, u) => why(r, u, catalog, cfg) }
       case Whynot =>
         val frames  = unified.map { case (_, u) =>
           u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
@@ -206,7 +203,7 @@ object BatchSampler {
         concurrently(spark, unified.zip(inputs)) { case ((r, u), (schema, domains, lookups)) =>
           whynot(spark, r, u, schema, domains, lookups, existing.length, cfg)
         }.flatten
-    } finally held.reverseIterator.foreach(_())
+    } finally held.foreach(_.destroy())
   }
 
   /** `f` of every one of `xs`, on up to `defaultParallelism` threads that
@@ -293,17 +290,20 @@ object BatchSampler {
       .map(rows => RuleSample(rule, u, rows, nOS, provEstimate, exact = false))
   }
 
-  /** Why provenance of the unified rule `u`: capture the successful
-    * derivations exactly (PUG instrumentation, paper §4) and keep `n_S` of
-    * them uniformly.
+  /** Why provenance of the unified rule `u`: the successful derivations
+    * (PUG instrumentation, paper §4), `n_S` of them kept by `takeN` in one
+    * collect. A full sample from a one-pass `TakeOrderedAndProject` reads
+    * |Prov_r| from an observation; any other holds them all, and a global
+    * sort (FULL's, or one whose limit the optimizer dropped) counts twice.
     */
-  private def why(rule: Rule, u: Unify.Unified, catalog: Catalog, cfg: Config,
-                  cached: DataFrame => DataFrame): Option[RuleSample] = {
-    val all   = cached(WhyProv.successful(u, catalog))
-    val total = all.count()
-    val exact = total <= cfg.nS
-    collected(if (exact) all else takeN(all, cfg.nS, cfg.seed))
-      .map(rows => RuleSample(rule, u, rows, 0L, total.toDouble, exact))
+  private def why(rule: Rule, u: Unify.Unified, catalog: Catalog, cfg: Config): Option[RuleSample] = {
+    val counted = Observation()
+    val sample  = takeN(WhyProv.successful(u, catalog).observe(counted, count(lit(1)).as("n")), cfg.nS, cfg.seed)
+    collected(sample).map { rows =>
+      val onePass = rows.size == cfg.nS && sample.queryExecution.sparkPlan.isInstanceOf[TakeOrderedAndProjectExec]
+      val total   = if (onePass) counted.get("n").asInstanceOf[Long] else rows.size.toLong
+      RuleSample(rule, u, rows, 0L, total.toDouble, exact = total <= cfg.nS)
+    }
   }
 
   /** The rows of `df`, collected in one Spark job; None when it has none. */

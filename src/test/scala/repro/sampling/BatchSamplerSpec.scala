@@ -18,7 +18,7 @@ import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
-import repro.prov.{DerivationOps, FullWhyNot}
+import repro.prov.{DerivationOps, FullWhyNot, WhyProv}
 import repro.summarize.Summarizer
 import scala.jdk.CollectionConverters._
 
@@ -137,20 +137,28 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   test("a forced-sampling question leaves no cache or broadcast behind") {
     val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
     val movies = Datasets.movies(spark, 100)
-    val (caches, shared) = (cacheState, broadcasts)
-    // Nor does it cache anything on the way: the state as each job starts.
-    val seen  = new java.util.concurrent.ConcurrentLinkedQueue[(Set[Int], Int)]()
-    val watch = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = seen.add(cacheState)
+    // The sampled r4 why-not union, the r4 why union (two of its rules
+    // have derivations, all of them kept), and r1's why rule, whose 14
+    // derivations takeN cuts to 10.
+    for ((program, cat, pq, c, exact) <- Seq(
+        (Queries.r4, movies, ProvQuestion(tomFord, Whynot), forced, Vector(false, false, false)),
+        (Queries.r4, movies, Queries.whyR4, forced, Vector(true, true)),
+        (Queries.r1, Datasets.license(spark, 1000), Queries.whyR1, forced.copy(nS = 10), Vector(false)))) {
+      val (caches, shared) = (cacheState, broadcasts)
+      // Nor does it cache anything on the way: the state as each job starts.
+      val seen  = new java.util.concurrent.ConcurrentLinkedQueue[(Set[Int], Int)]()
+      val watch = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit = seen.add(cacheState)
+      }
+      spark.sparkContext.addSparkListener(watch)
+      val (samples, jobs) =
+        try jobsOf(BatchSampler.sample(spark, program, cat, pq, c))
+        finally spark.sparkContext.removeSparkListener(watch)
+      assert(samples.map(_.exact) == exact, pq)
+      assert(seen.size == jobs && seen.asScala.forall(_ == caches), pq)
+      assert(cacheState == caches, pq)
+      eventually(timeout(10.seconds))(assert(broadcasts.subsetOf(shared), pq))
     }
-    spark.sparkContext.addSparkListener(watch)
-    val (samples, jobs) =
-      try jobsOf(BatchSampler.sample(spark, Queries.r4, movies, ProvQuestion(tomFord, Whynot), forced))
-      finally spark.sparkContext.removeSparkListener(watch)
-    assert(samples.size == 3 && !samples.exists(_.exact))
-    assert(seen.size == jobs && seen.asScala.forall(_ == caches))
-    assert(cacheState == caches)
-    eventually(timeout(10.seconds))(assert(broadcasts.subsetOf(shared)))
   }
 
   test("a rule that throws makes its question throw, and leaves no cache or broadcast behind") {
@@ -395,14 +403,16 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("why sample returns successful derivations only") {
-    val s = BatchSampler.whySample(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, PTuple("AL", Vector(Var("N"), Var("R"))), cfg).get
+    val t = PTuple("AL", Vector(Var("N"), Var("R")))
+    val s = BatchSampler.whySample(spark, Queries.airbnb, Queries.airbnb.rules.head, airbnb, t, cfg).get
     assert(s.sampleCount == 2 && s.exact)
     assert(s.provEstimate == 2.0)
     val rows = s.sample.collect()
     rows.foreach { r =>
       s.goalColNames.foreach(g => assert(r.getBoolean(r.fieldIndex(g))))
     }
+    // An exact sample is every successful derivation.
+    assert(multiset(s.sample) == multiset(WhyProv.derivations(Queries.airbnb.rules.head, airbnb, t).get))
   }
 
   test("why sample caps at nS when the provenance is larger") {
@@ -413,6 +423,36 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(s.sampleCount == 10)
     assert(!s.exact)
     assert(s.provEstimate > 10)
+    // The 10 successful derivations takeN keeps.
+    val all = WhyProv.derivations(Queries.r1.rules.head, cat, t).get
+    assert(multiset(s.sample) == multiset(BatchSampler.takeN(all, 10, cfg.seed)))
+  }
+
+  test("a why rule's provEstimate is its derivation count, and it is exact when nS holds them all") {
+    import spark.implicits._
+    val license = Datasets.license(spark, 1000)
+    val movies  = Datasets.movies(spark, 100)
+    // Every row of a 3-row local relation is a derivation: at nS = 3 the
+    // optimizer drops takeN's limit, and its sort is a global one.
+    val x     = Vector(Var("X"))
+    val local = Catalog("S" -> Seq(1L, 2L, 3L).toDF("s"))
+    for ((program, cat, pq) <- Seq((Queries.r1, license, Queries.whyR1), (Queries.r4, movies, Queries.whyR4),
+        (Program(Rule("q", "Q", x, Vector(Atom("S", x)))), local, ProvQuestion(PTuple("Q", x), Why)))) {
+      val counts = program.rules.map(r => r.name -> WhyProv.derivations(r, cat, pq.tuple).fold(0L)(_.count())).toMap
+      // nS below, at and above each rule's count, and FULL's nS =
+      // Int.MaxValue, where takeN is a global sort too. A global sort reads
+      // the derivations twice.
+      val sizes = counts.values.toSeq.flatMap(n => Seq(n - 1, n, n + 1)).filter(_ > 0).distinct.sorted
+      for (c <- sizes.map(n => cfg.copy(nS = n.toInt)) :+ Summarizer.Config(full = true).sampler) {
+        val samples = BatchSampler.sample(spark, program, cat, pq, c)
+        assert(samples.map(_.rule.name) == program.rules.map(_.name).filter(counts(_) > 0), c.nS)
+        samples.foreach { s =>
+          val n = counts(s.rule.name)
+          assert(s.provEstimate == n.toDouble && s.exact == (n <= c.nS), (s.rule.name, c.nS, s.provEstimate))
+          assert(s.sampleCount == math.min(n, c.nS.toLong), (s.rule.name, c.nS))
+        }
+      }
+    }
   }
 
   test("takeN is deterministic and bounded") {

@@ -36,10 +36,18 @@ object DerivationOps {
     // otherwise), and the CartesianProduct of `crossSpace`, which multiplies
     // its inputs' partition counts, has one partition, not 8^n.
     val dom = union.where(col(v.name).isNotNull).coalesce(1).distinct()
-    // θ_X: constant comparisons involving only this variable.
-    val thetaX = unified.comparisons.filter(c => c.isVarConst && c.variables == Vector(v))
-    thetaX.foldLeft(dom)((d, c) => d.where(DatalogEval.comparisonCol(c)))
+    thetaX(unified, v).foldLeft(dom)((d, c) => d.where(DatalogEval.comparisonCol(c)))
   }
+
+  /** θ_X: the comparisons of `v` with a constant, pushed into its domain. */
+  private def thetaX(rule: Rule, v: Var) = rule.comparisons.filter(c => c.isVarConst && c.variables == Vector(v))
+
+  /** What [[varDomain]] reads for `v` in `unified`: the variable, the set of
+    * (relation, position) it binds and its θ_X. One key, one domain: it is a
+    * sorted distinct union whatever the order of the union.
+    */
+  def domainKey(unified: Rule, v: Var): (Var, Set[(String, Int)], Set[Comparison]) =
+    (v, unified.occurrences(v).map(o => (unified.atoms(o._1).relation, o._2)).toSet, thetaX(unified, v).toSet)
 
   /** `domain` (a one-column frame, as [[varDomain]] gives it) as one row
     * holding its values in Spark's ascending order: the order
@@ -51,37 +59,29 @@ object DerivationOps {
     domain.select(sort_array(collect_list(col(domain.columns.head))))
 
   /** The goal markers of `atom`: its distinct bindings with no NULL (no
-    * derivation value is NULL, and a NULL key joins nothing), each variable
-    * cast to its derivation column's type in `types`, so that equal values
-    * are equal on the driver as they are under the join's coercion. One row
-    * holding them as one array of rows; a ground atom's holds the empty row
-    * iff its tuple exists. Single partition, taken before the δ, as in
-    * [[varDomain]]. A frame for [[collectArrays]].
+    * derivation value is NULL, and a NULL key joins nothing), its variables
+    * cast to `types`, their derivation columns' types in variable order, so
+    * that equal values are equal on the driver as under the join's coercion.
+    * One row holding them as one array of rows; a ground atom's holds the
+    * empty row iff its tuple exists. Single partition, taken before the δ,
+    * as in [[varDomain]]. A frame for [[collectArrays]].
     */
-  def goalMarkers(atom: Atom, catalog: Catalog, types: Map[String, DataType]): DataFrame = {
+  def goalMarkers(atom: Atom, catalog: Catalog, types: Seq[DataType]): DataFrame = {
     val b    = DatalogEval.atomBindings(atom.copy(negated = false), catalog)
     val vars = b.columns.toSeq.map(col)
     b.where(vars.map(_.isNotNull).foldLeft(lit(true))(_ && _)).coalesce(1)
-      .select(b.columns.toSeq.map(v => col(v).cast(types(v)).as(v)): _*).distinct()
+      .select(b.columns.toSeq.zip(types).map { case (v, t) => col(v).cast(t).as(v) }: _*).distinct()
       .select(collect_list(struct(vars: _*)))
   }
 
   /** The arrays of `frames`, aggregates of one row holding one array such as
-    * [[domainValues]] and [[goalMarkers]] give, collected in one Spark job
-    * with one task per frame. Frames with the same plan
-    * (`DataFrame.sameSemantics`), such as the domains and markers the rules
-    * of a union share, are collected once and get the same array. No frame,
-    * no job.
+    * [[domainValues]] and [[goalMarkers]] give, in the order of `frames`,
+    * collected in one Spark job with one task per frame. The caller passes
+    * each distinct frame once. No frame, no job.
     */
-  def collectArrays(frames: Seq[DataFrame]): Seq[Array[Any]] = {
-    val distinct = frames.foldLeft(Vector.empty[DataFrame]) { (fs, f) =>
-      if (fs.exists(_.sameSemantics(f))) fs else fs :+ f
-    }
-    val values = if (distinct.isEmpty) Vector.empty[Array[Any]] else
-      distinct.head.sparkSession.sparkContext.union(distinct.map(_.rdd)).collect().toVector
-        .map(_.getSeq[Any](0).toArray)
-    frames.map(f => values(distinct.indexWhere(_.sameSemantics(f))))
-  }
+  def collectArrays(frames: Seq[DataFrame]): Seq[Array[Any]] =
+    if (frames.isEmpty) Vector.empty else frames.head.sparkSession.sparkContext.union(frames.map(_.rdd))
+      .collect().toVector.map(_.getSeq[Any](0).toArray)
 
   /** `n` valuations over the broadcast `domains` (as [[collectArrays]]
     * gives them for [[domainValues]]), one `schema` column each: valuation
@@ -137,13 +137,12 @@ object DerivationOps {
     annotate(removeExisting(bound, answers, unified), unified, catalog)
   }
 
-  /** What [[lookupDerivations]] reads of a rule on the driver: `existing`,
-    * σ_t(Q)'s answers projected on the positions of the rule's head
-    * variables, and per body atom its [[goalMarkers]], each row keyed in
-    * the order of the atom's variables. A ground head's or atom's key is
-    * the empty row.
+  /** What [[lookupDerivations]] reads of a rule, broadcast: `existing`,
+    * σ_t(Q)'s answers projected on the positions of the rule's head variables,
+    * and per body atom its [[goalMarkers]], each row keyed in the order of the
+    * atom's variables. A ground head's or atom's key is the empty row.
     */
-  final case class Lookups(existing: Set[Row], markers: Vector[Set[Row]])
+  final case class Lookups(existing: Broadcast[Set[Row]], markers: Vector[Broadcast[Set[Row]]])
 
   /** The key of `unified`'s head in the rows of σ_t(Q): per head variable,
     * in head order, its position and its derivation column's type in
@@ -154,13 +153,13 @@ object DerivationOps {
     unified.headArgs.zipWithIndex.collect { case (v: Var, i) => (i, types(v.name)) }
 
   /** [[whynotDerivations]] with `Q_der` and goal annotation as lookups in
-    * the broadcast `lookups`, in one map over the space after the
+    * the broadcasts of `lookups`, in one map over the space after the
     * Catalyst `θ_join`: a row whose head variables' values are an existing
     * answer's key is dropped, and goal flag `g_i` is whether the values of
     * atom `i`'s variables are one of its markers, inverted for a negated
-    * atom. The plan has no join or exchange; the caller owns the broadcast.
+    * atom. The plan has no join or exchange; the caller owns the broadcasts.
     */
-  def lookupDerivations(space: DataFrame, unified: Rule, lookups: Broadcast[Lookups]): DataFrame = {
+  def lookupDerivations(space: DataFrame, unified: Rule, lookups: Lookups): DataFrame = {
     val bound   = applyJoinComparisons(space, unified)
     val at      = bound.columns.zipWithIndex.toMap
     val head    = unified.headArgs.collect { case v: Var => at(v.name) }.toArray
@@ -169,7 +168,7 @@ object DerivationOps {
     val schema  = StructType(bound.schema.fields ++
       goalCols(atoms.length).map(StructField(_, BooleanType, nullable = false)))
     bound.mapPartitions { (rows: Iterator[Row]) =>
-      val Lookups(existing, markers) = lookups.value
+      val (existing, markers) = (lookups.existing.value, lookups.markers.map(_.value))
       def key(r: Row, positions: Array[Int]) = Row.fromSeq(positions.toSeq.map(r.get))
       rows.filterNot(r => existing.contains(key(r, head))).map { r =>
         Row.fromSeq(r.toSeq ++ atoms.indices.map(i => markers(i).contains(key(r, atoms(i))) != negated(i)))

@@ -16,8 +16,8 @@ import scala.reflect.ClassTag
 /** Batch sampling of why-not (and why) provenance (paper §5).
   *
   * A why-not question first collects to the driver, in one Spark job with
-  * one task per frame, every distinct variable domain and every body atom's
-  * goal markers (its distinct bindings) of its rules, and, on a second
+  * one task per frame, each distinct variable domain and body atom's goal
+  * markers (its distinct bindings) that its rules read, and, on a second
   * thread meanwhile, σ_t(Q). Each rule's sample is then one map stage over
   * `range(n_OS)` against those values, broadcast, followed by δ and `takeN`:
   *
@@ -36,11 +36,10 @@ import scala.reflect.ClassTag
   * `Q_der` and the annotation by lookup are
   * [[repro.prov.DerivationOps.lookupDerivations]]; the relational
   * [[repro.prov.DerivationOps.whynotDerivations]], which FULL enumeration
-  * runs over the whole space, gives the same rows. The rules of a union
-  * are sampled concurrently.
-  *
-  * `n_OS` comes from [[OverSampling]] so that with probability `P_success`
-  * at least `n_S` draws survive both `θ_join` and the missing-answer filter.
+  * runs over the whole space, gives the same rows. The rules of a union are
+  * sampled concurrently, and share each input they read alike. `n_OS` comes
+  * from [[OverSampling]] so that with probability `P_success` at least `n_S`
+  * draws survive both `θ_join` and the missing-answer filter.
   *
   * Each rule's sample is collected to the driver once, and everything
   * downstream reads those rows. The sampler caches nothing; the broadcasts
@@ -158,14 +157,15 @@ object BatchSampler {
                 t: PTuple, cfg: Config): Option[RuleSample] =
     sampleRules(spark, program, Seq(rule), catalog, ProvQuestion(t, Why), cfg).headOption
 
-  /** [[sample]] over `rules` of `program`. Every broadcast goes through
-    * `shared`, on this thread only, which records it for the one release in
-    * `finally`. The domains and markers of all why-not rules come from one
-    * [[DerivationOps.collectArrays]], handed out rule by rule in order, and
-    * σ_t(Q) is collected once, cast to every rule's [[DerivationOps.headKey]].
+  /** [[sample]] over `rules` of `program`, at `nS ≥ 1`. Every broadcast goes
+    * through `shared`, on this thread only, which records it for the one
+    * release in `finally`. A why-not input is keyed before any plan is built
+    * (by [[DerivationOps.domainKey]], or by its [[DerivationOps.goalMarkers]]
+    * arguments), then built and collected once; a marker set is broadcast once.
     */
   private def sampleRules(spark: SparkSession, program: Program, rules: Seq[Rule], catalog: Catalog,
                           pq: ProvQuestion, cfg: Config): Vector[RuleSample] = {
+    require(cfg.nS >= 1, s"nS=${cfg.nS}")
     val held = mutable.ArrayBuffer.empty[Broadcast[_]]
     def shared[T: ClassTag](value: T): Broadcast[T] = {
       val b = spark.sparkContext.broadcast(value)
@@ -176,29 +176,30 @@ object BatchSampler {
     try pq.qtype match {
       case Why => unified.flatMap { case (r, u) => why(r, u, catalog, cfg) }
       case Whynot =>
-        val frames  = unified.map { case (_, u) =>
-          u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, catalog))
+        val us      = unified.map(_._2)
+        val vars    = us.map(u => u.unboundVars.map(v => (DerivationOps.domainKey(u.rule, v), u.rule, v)))
+        val domains = vars.flatten.distinctBy(_._1).map(d => d._1 -> DerivationOps.varDomain(d._2, d._3, catalog))
+        val field   = domains.map { case (k, f) => k -> f.schema.head }.toMap
+        val types   = vars.map(_.map { case (k, _, v) => v.name -> field(k).dataType }.toMap)
+        val atoms   = us.zip(types).map { case (u, ts) =>
+          u.rule.atoms.map(a => (a.copy(negated = false), a.variables.map(v => ts(v.name))))
         }
-        val types   = frames.map(_.map(f => f.columns.head -> f.schema.head.dataType).toMap)
-        val markers = unified.zip(types).map { case ((_, u), ts) =>
-          u.rule.atoms.map(a => DerivationOps.goalMarkers(a, catalog, ts))
-        }
-        val heads   = unified.zip(types).map { case ((_, u), ts) => DerivationOps.headKey(u.rule, ts) }
+        val marks   = atoms.flatten.distinct
+        val heads   = us.zip(types).map { case (u, ts) => DerivationOps.headKey(u.rule, ts) }
         val keyCols = heads.flatten.distinct
         val answers = DatalogEval.restrictedAnswers(program, catalog, pq.tuple)
           .select(keyCols.map { case (i, t) => col(s"c$i").cast(t) }: _*)
+        val frames  = domains.map(d => DerivationOps.domainValues(d._2)) ++
+          marks.map { case (a, ts) => DerivationOps.goalMarkers(a, catalog, ts) }
         val Vector(existing: Array[Row] @unchecked, arrays: Seq[Array[Any]] @unchecked) =
-          concurrently(spark, Vector(() => answers.collect(),
-            () => DerivationOps.collectArrays(frames.indices.flatMap(r =>
-              frames(r).map(DerivationOps.domainValues) ++ markers(r)))))(_())
-        val values  = arrays.iterator
-        val inputs  = unified.indices.map { r =>
-          val domains = frames(r).map(_ => values.next())
-          val key     = heads(r).map(keyCols.indexOf)
-          val keys    = existing.map(a => Row.fromSeq(key.map(a.get))).toSet
-          val goals   = markers(r).map(_ => values.next().iterator.map(_.asInstanceOf[Row]).toSet).toVector
-          (StructType(frames(r).map(_.schema.head)), shared[Seq[Array[Any]]](domains),
-            shared(DerivationOps.Lookups(keys, goals)))
+          concurrently(spark, Vector(() => answers.collect(), () => DerivationOps.collectArrays(frames)))(_())
+        val values  = domains.map(_._1).zip(arrays).toMap
+        val marked  = marks.zip(arrays.drop(domains.size))
+          .map { case (a, ms) => a -> shared(ms.iterator.map(_.asInstanceOf[Row]).toSet) }.toMap
+        val inputs  = vars.indices.map { r =>
+          val keys = existing.map(a => Row.fromSeq(heads(r).map(h => a.get(keyCols.indexOf(h))))).toSet
+          (StructType(vars(r).map(v => field(v._1))), shared[Seq[Array[Any]]](vars(r).map(v => values(v._1))),
+            DerivationOps.Lookups(shared(keys), atoms(r).map(marked)))
         }
         concurrently(spark, unified.zip(inputs)) { case ((r, u), (schema, domains, lookups)) =>
           whynot(spark, r, u, schema, domains, lookups, existing.length, cfg)
@@ -249,7 +250,7 @@ object BatchSampler {
     * `nExisting` rows.
     */
   private def whynot(spark: SparkSession, rule: Rule, u: Unify.Unified, schema: StructType,
-                     domains: Broadcast[Seq[Array[Any]]], lookups: Broadcast[DerivationOps.Lookups],
+                     domains: Broadcast[Seq[Array[Any]]], lookups: DerivationOps.Lookups,
                      nExisting: Long, cfg: Config): Option[RuleSample] = {
     val sizes     = domains.value.map(_.length.toLong)
     val spaceSize = sizes.map(_.toDouble).product

@@ -109,19 +109,20 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("Q_X is a lookup: one job collects a union's domains, and the draw has no window, join or exchange") {
-    val frames = Queries.r4.rules.map { r =>
-      val u = Unify.unify(r, tomFord).get
-      u.unboundVars.map(v => DerivationOps.varDomain(u.rule, v, localMovies))
-    }
-    val (values, jobs) = jobsOf(DerivationOps.collectArrays(frames.flatten.map(DerivationOps.domainValues)))
-    assert(jobs == 1)
-    // Each distinct domain is collected once: r4′ and r4″ share all 13 of
-    // theirs, and 12 with r4. I also binds KEYWORDS.k_movie in r4′ and r4″.
-    val byRule = values.grouped(13).toVector
-    assert(values.foldLeft(Vector.empty[Array[Any]])((ds, a) => if (ds.exists(_ eq a)) ds else ds :+ a).size == 14)
-    assert(byRule(1).zip(byRule(2)).forall { case (a, b) => a eq b })
-    assert(byRule(0).zip(byRule(1)).map { case (a, b) => a eq b } == (false +: Vector.fill(12)(true)))
-    val (schema, shared) = BatchSamplerSpec.collected(spark, frames.head)
+    val unified = Queries.r4.rules.map(r => Unify.unify(r, tomFord).get)
+    val keys    = unified.map(u => u.unboundVars.map(DerivationOps.domainKey(u.rule, _)))
+    // The 39 (rule, variable) pairs have 14 distinct domains: r4′ and r4″
+    // agree on all 13 of theirs, and r4 on 12 with them. I also binds
+    // KEYWORDS.k_movie in r4′ and r4″.
+    assert(keys.map(_.size) == Vector(13, 13, 13) && keys.flatten.distinct.size == 14)
+    assert(keys(1) == keys(2) && keys(0).map(_._1) == keys(1).map(_._1))
+    assert(keys(0).zip(keys(1)).collect { case (a, b) if a != b => a._1 } == Vector(Var("I")))
+    val frames = unified.flatMap(u => u.unboundVars.map(v => DerivationOps.domainKey(u.rule, v) -> (u, v)))
+      .distinctBy(_._1).map { case (_, (u, v)) => DerivationOps.varDomain(u.rule, v, localMovies) }
+    val (values, jobs) = jobsOf(DerivationOps.collectArrays(frames.map(DerivationOps.domainValues)))
+    assert(jobs == 1 && values.size == 14)
+    assert(values.zip(frames).forall { case (a, f) => a.length == f.count() })
+    val (schema, shared) = BatchSamplerSpec.collected(spark, frames.take(13))
     val d = BatchSampler.draw(spark, schema, shared, 1000, 7L)
     assert(d.queryExecution.optimizedPlan.collect { case w: Window => w; case j: Join => j }.isEmpty)
     assert(collect(d.queryExecution.executedPlan) { case e: Exchange => e }.isEmpty)
@@ -195,9 +196,10 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
                 catch { case e: Throwable => Left(e) }
     })
     question.start()
-    // Each rule's two broadcasts are made on the question's thread just
-    // before the rule threads start; from then on, cancel the tag's jobs.
-    eventually(timeout(60.seconds), interval(5.millis))(assert((broadcasts -- shared).size >= 6 || !question.isAlive))
+    // r4's 8 distinct marker sets, then each rule's σ_t(Q) keys and domains,
+    // are broadcast on the question's thread just before the rule threads
+    // start; from then on, cancel the tag's jobs.
+    eventually(timeout(60.seconds), interval(5.millis))(assert((broadcasts -- shared).size >= 14 || !question.isAlive))
     while (question.isAlive) { sc.cancelJobsWithTag(tag); question.join(20) }
     assert(outcome.isLeft, "the question ran to its end")
     assert(Iterator.iterate[Throwable](outcome.swap.toOption.get)(_.getCause).takeWhile(_ != null)
@@ -296,6 +298,53 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
         case None => assert(full.isEmpty, t)
       }
     }
+  }
+
+  test("a union's rules share an input only where they read it alike") {
+    import spark.implicits._
+    val (x, y, z) = (Var("X"), Var("Y"), Var("Z"))
+    // X binds R.r_a in both rules, under X > 1 in one and X > 3 in the
+    // other: two domains, {2, 5} and {5}.
+    def above(name: String, c: Long) = Rule(name, "Q", Vector(x, y),
+      Vector(Atom("R", Vector(x, z)), Atom("R", Vector(z, y))), Vector(Comparison(x, CmpOp.Gt, Const(c))))
+    val thetas = Program(above("q1", 1L), above("q2", 3L))
+    // S(X) in both rules: X binds only S.s and U.u in the first, and also
+    // T.t in the second. With S.s and U.u ints and T.t a bigint, the atom's
+    // markers are ints in one rule and bigints in the other; with dates and
+    // a timestamp, dates in one and timestamps in the other. (A Row holding
+    // the int 3 equals one holding the bigint 3, but a date never equals a
+    // timestamp.)
+    val types = Program(Rule("q1", "Q", Vector(x), Vector(Atom("S", Vector(x)), Atom("U", Vector(x)))),
+      Rule("q2", "Q", Vector(x), Vector(Atom("S", Vector(x)), Atom("T", Vector(x)))))
+    val ints  = Catalog("S" -> Seq(1, 2, 3).toDF("s"), "U" -> Seq(3, 4, 5).toDF("u"), "T" -> Seq(2L, 3L, 4L).toDF("t"))
+    val days  = (10 to 14).map(d => java.sql.Date.valueOf(s"2016-11-$d"))
+    val times = Catalog("S" -> days.take(3).toDF("s"), "U" -> days.drop(2).toDF("u"),
+      "T" -> days.slice(1, 4).map(d => new java.sql.Timestamp(d.getTime)).toDF("t"))
+    val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
+    for ((program, cat, t) <- Seq((thetas, rex, PTuple("Q", Vector(x, y))), (types, ints, PTuple("Q", Vector(x))),
+        (types, times, PTuple("Q", Vector(x))))) {
+      val pq    = ProvQuestion(t, Whynot)
+      val exact = BatchSampler.sample(spark, program, cat, pq, cfg.copy(fullEnumFactor = Double.MaxValue))
+      val fulls = program.rules.map(r => r.name -> multiset(FullWhyNot.derivations(spark, program, r, cat, t).get))
+      assert(fulls.forall(_._2.nonEmpty), t)
+      assert(exact.map(s => s.rule.name -> multiset(s.sample)) == fulls, t)
+      val sampled = BatchSampler.sample(spark, program, cat, pq, forced)
+      assert(sampled.map(_.rule.name) == program.rules.map(_.name) && !sampled.exists(_.exact), t)
+      sampled.foreach { s =>
+        val ref = BatchSamplerSpec.zipSample(spark, program, s.rule, cat, t, s.nOS, forced)
+        assert(multiset(s.sample) == multiset(ref), (t, s.rule.name))
+      }
+    }
+  }
+
+  test("a question at nS < 1 throws, and FULL at nS = 0 still answers") {
+    val license = Datasets.license(spark, 1000)
+    for (pq <- Seq(Queries.whyR1, Queries.whynotR1)) {
+      val e = intercept[IllegalArgumentException](BatchSampler.sample(spark, Queries.r1, license, pq, cfg.copy(nS = 0)))
+      assert(e.getMessage.contains("nS=0"), (pq, e))
+    }
+    val full = Summarizer.summarize(spark, Queries.r1, license, Queries.whyR1, Summarizer.Config(nS = 0, full = true))
+    assert(full.ruleSamples.map(_.sampleCount) == Vector(14L) && full.summary.patterns.nonEmpty)
   }
 
   test("whynot sample on a tiny space returns the full provenance (exact)") {

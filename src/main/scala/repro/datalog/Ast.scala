@@ -86,6 +86,9 @@ final case class Rule(
     (fromHead ++ fromBody ++ fromCmp).distinct
   }
 
+  /** The head as an atom over the answers: `Q_der`'s negated goal (§5.2). */
+  def head: Atom = Atom(headPred, headArgs)
+
   def positiveAtoms: Vector[Atom] = atoms.filterNot(_.negated)
   def negatedAtoms: Vector[Atom]  = atoms.filter(_.negated)
 

@@ -79,11 +79,16 @@ object DatalogEval {
       l.join(r, l.columns.toSet.intersect(r.columns.toSet).toSeq, "inner")
     }
     val compared = rule.comparisons.foldLeft(positive)((df, c) => df.where(comparisonCol(c)))
-    val joined = rule.negatedAtoms.foldLeft(compared) { (df, a) =>
-      df.join(atomBindings(a, catalog), a.variables.map(_.name), "left_anti")
-    }
+    val joined = rule.negatedAtoms.foldLeft(compared)((df, a) => antiJoin(df, a, catalog))
     joined.select(rule.variables.map(v => col(v.name)): _*).distinct()
   }
+
+  /** A negated goal: the rows of `df` that no binding of `atom` matches on
+    * the atom's variables. A ground atom joins without a key, so it removes
+    * every row iff its tuple exists.
+    */
+  def antiJoin(df: DataFrame, atom: Atom, catalog: Catalog): DataFrame =
+    df.join(atomBindings(atom, catalog), atom.variables.map(_.name), "left_anti")
 
   /** Q(D) restricted to one rule: distinct head projection of [[bindings]].
     * Output columns are named `c0..c(h-1)` so unions across rules align.

@@ -58,20 +58,32 @@ object DerivationOps {
   def domainValues(domain: DataFrame): DataFrame =
     domain.select(sort_array(collect_list(col(domain.columns.head))))
 
-  /** The goal markers of `atom`: its distinct bindings with no NULL (no
+  /** What [[lookupRows]] reads of `atom`, whose variables have the
+    * derivation types `types`: the atom without its negation, and its
+    * variables' types in their order. One key, one set of rows.
+    */
+  def lookupKey(atom: Atom, types: Map[String, DataType]): (Atom, Seq[DataType]) =
+    (atom.copy(negated = false), atom.variables.map(v => types(v.name)))
+
+  /** The bindings of `atom` in `catalog` as lookup keys: with no NULL (no
     * derivation value is NULL, and a NULL key joins nothing), its variables
     * cast to `types`, their derivation columns' types in variable order, so
     * that equal values are equal on the driver as under the join's coercion.
-    * One row holding them as one array of rows; a ground atom's holds the
-    * empty row iff its tuple exists. Single partition, taken before the δ,
-    * as in [[varDomain]]. A frame for [[collectArrays]].
+    * A ground atom's key is the empty row, there iff its tuple exists.
+    */
+  def lookupRows(atom: Atom, catalog: Catalog, types: Seq[DataType]): DataFrame = {
+    val b = DatalogEval.atomBindings(atom.copy(negated = false), catalog)
+    b.where(b.columns.map(col(_).isNotNull).foldLeft(lit(true))(_ && _))
+      .select(b.columns.toSeq.zip(types).map { case (v, t) => col(v).cast(t).as(v) }: _*)
+  }
+
+  /** The goal markers of `atom`: its distinct [[lookupRows]], as one row
+    * holding them as one array of rows. Single partition, taken before the
+    * δ, as in [[varDomain]]. A frame for [[collectArrays]].
     */
   def goalMarkers(atom: Atom, catalog: Catalog, types: Seq[DataType]): DataFrame = {
-    val b    = DatalogEval.atomBindings(atom.copy(negated = false), catalog)
-    val vars = b.columns.toSeq.map(col)
-    b.where(vars.map(_.isNotNull).foldLeft(lit(true))(_ && _)).coalesce(1)
-      .select(b.columns.toSeq.zip(types).map { case (v, t) => col(v).cast(t).as(v) }: _*).distinct()
-      .select(collect_list(struct(vars: _*)))
+    val m = lookupRows(atom, catalog, types).coalesce(1).distinct()
+    m.select(collect_list(struct(m.columns.map(col).toSeq: _*)))
   }
 
   /** The arrays of `frames`, aggregates of one row holding one array such as
@@ -121,54 +133,44 @@ object DerivationOps {
 
   /** The why-not derivations of `unified` in a derivation space (one column
     * per unbound variable), as relational operators: `θ_join`, then `Q_der`
-    * as an anti-join against `answers` (σ_t(Q),
-    * [[DatalogEval.restrictedAnswers]]), then goal annotation as outer joins
-    * (paper §5.2). A plan built without a Spark job: FULL runs it over
-    * [[crossSpace]], and it is the reference for [[lookupDerivations]],
-    * which the batch sampler runs instead.
+    * as the negated goal `¬head` over `answers` (σ_t(Q),
+    * [[DatalogEval.restrictedAnswers]], columns `c0..`), the
+    * [[DatalogEval.antiJoin]] of any negated goal: a head constant left open
+    * by the p-tuple filters the answers, and a ground head joins without a
+    * key. Then goal annotation as outer joins (paper §5.2). A plan built
+    * without a Spark job: FULL runs it over [[crossSpace]], and it is the
+    * reference for [[lookupDerivations]], which the batch sampler runs
+    * instead.
     */
-  def whynotDerivations(
-      space: DataFrame,
-      answers: DataFrame,
-      catalog: Catalog,
-      unified: Rule,
-  ): DataFrame = {
+  def whynotDerivations(space: DataFrame, answers: DataFrame, catalog: Catalog, unified: Rule): DataFrame = {
     val bound = applyJoinComparisons(space, unified)
-    annotate(removeExisting(bound, answers, unified), unified, catalog)
+    annotate(DatalogEval.antiJoin(bound, unified.head, Catalog(unified.headPred -> answers)), unified, catalog)
   }
 
-  /** What [[lookupDerivations]] reads of a rule, broadcast: `existing`,
-    * σ_t(Q)'s answers projected on the positions of the rule's head variables,
-    * and per body atom its [[goalMarkers]], each row keyed in the order of the
-    * atom's variables. A ground head's or atom's key is the empty row.
+  /** What [[lookupDerivations]] reads of a rule, broadcast: the
+    * [[lookupRows]] of its head atom over σ_t(Q), and per body atom its
+    * [[goalMarkers]], each row keyed in the order of the atom's variables.
+    * A ground head's or atom's key is the empty row.
     */
-  final case class Lookups(existing: Broadcast[Set[Row]], markers: Vector[Broadcast[Set[Row]]])
-
-  /** The key of `unified`'s head in the rows of σ_t(Q): per head variable,
-    * in head order, its position and its derivation column's type in
-    * `types`. The answers are cast to it in Spark, so that equal values are
-    * equal on the driver as they are under the anti-join's coercion.
-    */
-  def headKey(unified: Rule, types: Map[String, DataType]): Seq[(Int, DataType)] =
-    unified.headArgs.zipWithIndex.collect { case (v: Var, i) => (i, types(v.name)) }
+  final case class Lookups(head: Broadcast[Set[Row]], markers: Vector[Broadcast[Set[Row]]])
 
   /** [[whynotDerivations]] with `Q_der` and goal annotation as lookups in
     * the broadcasts of `lookups`, in one map over the space after the
-    * Catalyst `θ_join`: a row whose head variables' values are an existing
-    * answer's key is dropped, and goal flag `g_i` is whether the values of
-    * atom `i`'s variables are one of its markers, inverted for a negated
-    * atom. The plan has no join or exchange; the caller owns the broadcasts.
+    * Catalyst `θ_join`: a row whose values of the head's distinct variables
+    * are one of the head's keys is dropped, and goal flag `g_i` is whether
+    * the values of atom `i`'s variables are one of its markers, inverted for
+    * a negated atom. The plan has no join or exchange; the caller owns the
+    * broadcasts.
     */
   def lookupDerivations(space: DataFrame, unified: Rule, lookups: Lookups): DataFrame = {
     val bound   = applyJoinComparisons(space, unified)
     val at      = bound.columns.zipWithIndex.toMap
-    val head    = unified.headArgs.collect { case v: Var => at(v.name) }.toArray
-    val atoms   = unified.atoms.map(a => a.variables.map(v => at(v.name)).toArray).toArray
+    val head +: atoms = (unified.head +: unified.atoms).map(_.variables.map(v => at(v.name)).toArray)
     val negated = unified.atoms.map(_.negated).toArray
     val schema  = StructType(bound.schema.fields ++
       goalCols(atoms.length).map(StructField(_, BooleanType, nullable = false)))
     bound.mapPartitions { (rows: Iterator[Row]) =>
-      val (existing, markers) = (lookups.existing.value, lookups.markers.map(_.value))
+      val (existing, markers) = (lookups.head.value, lookups.markers.map(_.value))
       def key(r: Row, positions: Array[Int]) = Row.fromSeq(positions.toSeq.map(r.get))
       rows.filterNot(r => existing.contains(key(r, head))).map { r =>
         Row.fromSeq(r.toSeq ++ atoms.indices.map(i => markers(i).contains(key(r, atoms(i))) != negated(i)))
@@ -184,19 +186,6 @@ object DerivationOps {
   private def applyJoinComparisons(bind: DataFrame, unified: Rule): DataFrame =
     unified.comparisons.filterNot(_.isVarConst)
       .foldLeft(bind)((df, c) => df.where(DatalogEval.comparisonCol(c)))
-
-  /** Relational `Q_der` (paper §5.2 step 2): drop derivations whose head is
-    * an existing answer, by anti-joining against `answers` (σ_t(Q), columns
-    * `c0..`) on the head variables that the p-tuple left unbound. A fully ground head
-    * has no such variable: the condition is `true`, and every derivation
-    * goes iff the answer exists.
-    */
-  private def removeExisting(bind: DataFrame, answers: DataFrame, unified: Rule): DataFrame = {
-    val cond = unified.headArgs.zipWithIndex
-      .collect { case (v: Var, i) => bind(v.name) === answers(s"c$i") }
-      .foldLeft(lit(true))(_ && _)
-    bind.join(answers, cond, "left_anti")
-  }
 
   /** Relational `Q_goals`/`Q_sample` annotation (paper §5.2 step 3):
     * left-outer join each body atom's (deduplicated) variable bindings on

@@ -5,7 +5,7 @@ import org.apache.spark.sql.{DataFrame, Observation, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.execution.TakeOrderedAndProjectExec
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types.{DataType, StructType}
 import repro.datalog._
 import repro.prov.{DerivationOps, WhyProv}
 import java.util.concurrent.atomic.AtomicInteger
@@ -18,7 +18,8 @@ import scala.reflect.ClassTag
   * A why-not question first collects to the driver, in one Spark job with
   * one task per frame, each distinct variable domain and body atom's goal
   * markers (its distinct bindings) that its rules read, and, on a second
-  * thread meanwhile, σ_t(Q). Each rule's sample is then one map stage over
+  * thread meanwhile, each distinct head's bindings in σ_t(Q), the head read
+  * as an atom over the answers. Each rule's sample is then one map stage over
   * `range(n_OS)` against those values, broadcast, followed by δ and `takeN`:
   *
   *  - `Q_X`  — `n_OS` valuations drawn uniformly with replacement from the
@@ -28,8 +29,9 @@ import scala.reflect.ClassTag
   *    domain at a deterministic hash index of `id`, so the zip is implicit
   *    in the draw id, and it is reproducible from the seed ([[draw]]).
   *  - `Q_bind` — `θ_join` over the draws, a Catalyst filter.
-  *  - `Q_der`  — a draw whose head is an existing answer is dropped: a
-  *    lookup in σ_t(Q), not the paper's anti-join.
+  *  - `Q_der`  — a draw whose head is an existing answer is dropped: the
+  *    negated goal `¬head` over σ_t(Q) as a lookup in the head's bindings,
+  *    not the paper's anti-join.
   *  - `Q_sample` — goal annotation as a lookup in each atom's markers, not
   *    the paper's outer joins, then δ.
   *
@@ -136,7 +138,8 @@ object BatchSampler {
     *
     * A question caches nothing, and a why rule's sample is one collect. A
     * why-not question collects its rules' distinct domains and goal markers
-    * in one job, and σ_t(Q) on a second thread, then samples the rules
+    * in one job, and their heads' bindings in σ_t(Q) on a second thread, one
+    * collect per distinct head and types, then samples the rules
     * concurrently over broadcasts it destroys before it returns or throws.
     */
   def sample(
@@ -160,8 +163,10 @@ object BatchSampler {
   /** [[sample]] over `rules` of `program`, at `nS ≥ 1`. Every broadcast goes
     * through `shared`, on this thread only, which records it for the one
     * release in `finally`. A why-not input is keyed before any plan is built
-    * (by [[DerivationOps.domainKey]], or by its [[DerivationOps.goalMarkers]]
-    * arguments), then built and collected once; a marker set is broadcast once.
+    * (a domain by [[DerivationOps.domainKey]], a body atom's markers and a
+    * head's bindings by [[DerivationOps.lookupKey]]), then built and collected
+    * once; a marker set and a head set are broadcast once, and shared by the
+    * rules that read them.
     */
   private def sampleRules(spark: SparkSession, program: Program, rules: Seq[Rule], catalog: Catalog,
                           pq: ProvQuestion, cfg: Config): Vector[RuleSample] = {
@@ -181,28 +186,26 @@ object BatchSampler {
         val domains = vars.flatten.distinctBy(_._1).map(d => d._1 -> DerivationOps.varDomain(d._2, d._3, catalog))
         val field   = domains.map { case (k, f) => k -> f.schema.head }.toMap
         val types   = vars.map(_.map { case (k, _, v) => v.name -> field(k).dataType }.toMap)
-        val atoms   = us.zip(types).map { case (u, ts) =>
-          u.rule.atoms.map(a => (a.copy(negated = false), a.variables.map(v => ts(v.name))))
-        }
-        val marks   = atoms.flatten.distinct
-        val heads   = us.zip(types).map { case (u, ts) => DerivationOps.headKey(u.rule, ts) }
-        val keyCols = heads.flatten.distinct
-        val answers = DatalogEval.restrictedAnswers(program, catalog, pq.tuple)
-          .select(keyCols.map { case (i, t) => col(s"c$i").cast(t) }: _*)
+        val atoms   = us.zip(types).map { case (u, ts) => u.rule.atoms.map(DerivationOps.lookupKey(_, ts)) }
+        val heads   = us.zip(types).map { case (u, ts) => DerivationOps.lookupKey(u.rule.head, ts) }
+        val (marks, shapes) = (atoms.flatten.distinct, heads.distinct)
+        val answers = Catalog(program.headPred -> DatalogEval.restrictedAnswers(program, catalog, pq.tuple))
         val frames  = domains.map(d => DerivationOps.domainValues(d._2)) ++
           marks.map { case (a, ts) => DerivationOps.goalMarkers(a, catalog, ts) }
-        val Vector(existing: Array[Row] @unchecked, arrays: Seq[Array[Any]] @unchecked) =
-          concurrently(spark, Vector(() => answers.collect(), () => DerivationOps.collectArrays(frames)))(_())
-        val values  = domains.map(_._1).zip(arrays).toMap
-        val marked  = marks.zip(arrays.drop(domains.size))
-          .map { case (a, ms) => a -> shared(ms.iterator.map(_.asInstanceOf[Row]).toSet) }.toMap
-        val inputs  = vars.indices.map { r =>
-          val keys = existing.map(a => Row.fromSeq(heads(r).map(h => a.get(keyCols.indexOf(h))))).toSet
+        val Vector(headRows: Seq[Array[Row]] @unchecked, arrays: Seq[Array[Any]] @unchecked) = concurrently(spark,
+          Vector(() => shapes.map { case (h, ts) => DerivationOps.lookupRows(h, answers, ts).collect() },
+            () => DerivationOps.collectArrays(frames)))(_())
+        def sets(keys: Seq[(Atom, Seq[DataType])], rows: Seq[Array[_]]) =
+          keys.zip(rows).map { case (k, rs) => k -> shared(rs.iterator.map(_.asInstanceOf[Row]).toSet) }.toMap
+        val values   = domains.map(_._1).zip(arrays).toMap
+        val marked   = sets(marks, arrays.drop(domains.size))
+        val headSets = sets(shapes, headRows)
+        val inputs   = vars.indices.map { r =>
           (StructType(vars(r).map(v => field(v._1))), shared[Seq[Array[Any]]](vars(r).map(v => values(v._1))),
-            DerivationOps.Lookups(shared(keys), atoms(r).map(marked)))
+            DerivationOps.Lookups(headSets(heads(r)), atoms(r).map(marked)))
         }
         concurrently(spark, unified.zip(inputs)) { case ((r, u), (schema, domains, lookups)) =>
-          whynot(spark, r, u, schema, domains, lookups, existing.length, cfg)
+          whynot(spark, r, u, schema, domains, lookups, cfg)
         }.flatten
     } finally held.foreach(_.destroy())
   }
@@ -246,12 +249,11 @@ object BatchSampler {
     * [[DerivationOps.lookupDerivations]] against `lookups` over the full
     * space when it holds at most `max(1, fullEnumFactor · nS)` valuations (a
     * ground rule's one valuation and an empty domain's none included), else
-    * over the batch sample of §5.2, sized by the §5.3 estimate. σ_t(Q) has
-    * `nExisting` rows.
+    * over the batch sample of §5.2, sized by the §5.3 estimate.
     */
   private def whynot(spark: SparkSession, rule: Rule, u: Unify.Unified, schema: StructType,
                      domains: Broadcast[Seq[Array[Any]]], lookups: DerivationOps.Lookups,
-                     nExisting: Long, cfg: Config): Option[RuleSample] = {
+                     cfg: Config): Option[RuleSample] = {
     val sizes     = domains.value.map(_.length.toLong)
     val spaceSize = sizes.map(_.toDouble).product
 
@@ -267,12 +269,12 @@ object BatchSampler {
     // p_notProv: fraction of the space deriving an existing answer matching t
     // (paper §5.3). #derivations per existing answer = Π over existential
     // unbound vars of |D_X|, so p_notProv = nExisting / Π over head-unbound
-    // vars of |D_X|. A fully ground head makes that product 1, and
-    // p_notProv 1 or 0.
+    // vars of |D_X|, where nExisting counts this head's keys: the answers of
+    // σ_t(Q) it can take, with no NULL. A fully ground head makes that
+    // product 1, and p_notProv 1 or 0.
     val domSize   = u.unboundVars.zip(sizes).toMap
-    val headSpace = u.rule.headArgs.collect { case v: Var => v }.distinct
-      .map(v => domSize(v).toDouble).product
-    val pNotProv  = math.min(1.0, nExisting / headSpace)
+    val headSpace = u.rule.head.variables.map(v => domSize(v).toDouble).product
+    val pNotProv  = math.min(1.0, lookups.head.value.size / headSpace)
 
     // θ_join selectivity (paper §5.3 "Handling Predicates").
     val sel = u.rule.comparisons.filter(_.isVarVar).map { c =>

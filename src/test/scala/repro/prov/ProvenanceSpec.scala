@@ -151,6 +151,16 @@ class ProvenanceSpec extends SparkSpec {
       .collect().map(_.getLong(0)).toSet
     val xs = df.select("X").collect().map(_.getLong(0)).toSet
     assert(xs.intersect(answers).isEmpty)
+    // Only the answers a head can take remove its derivations: over
+    // σ_t(Q) = {(2, 'a'), (1, 'b')}, h1's head Q(X, 'a') takes (2, 'a') alone,
+    // so X = 1 derives the missing answer (1, 'a').
+    import spark.implicits._
+    val (x, y) = (Var("X"), Var("Y"))
+    val hs  = Program(Rule("h1", "Q", Vector(x, Const("a")), Vector(Atom("R", Vector(x)), Atom("T", Vector(x)))),
+      Rule("h2", "Q", Vector(x, y), Vector(Atom("S", Vector(x, y)))))
+    val cat = Catalog("R" -> Seq(1L, 2L).toDF("r"), "T" -> Seq(2L).toDF("t"), "S" -> Seq((1L, "b")).toDF("s_a", "s_b"))
+    val h1  = FullWhyNot.derivations(spark, hs, hs.rules.head, cat, PTuple("Q", Vector(Var("A"), Var("B")))).get
+    assert(h1.collect().toSeq == Seq(Row(1L, true, false)))
   }
 
   test("negated-goal annotation is inverted (r1 on a small license set)") {

@@ -196,12 +196,14 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
                 catch { case e: Throwable => Left(e) }
     })
     question.start()
-    // r4's 8 distinct marker sets, then each rule's σ_t(Q) keys and domains,
-    // are broadcast on the question's thread just before the rule threads
-    // start; from then on, cancel the tag's jobs.
-    eventually(timeout(60.seconds), interval(5.millis))(assert((broadcasts -- shared).size >= 14 || !question.isAlive))
+    // r4's 8 distinct marker sets and the one head set its three rules share,
+    // then each rule's domains, are broadcast on the question's thread just
+    // before the rule threads start; from then on, cancel the tag's jobs.
+    eventually(timeout(60.seconds), interval(5.millis))(assert((broadcasts -- shared).size >= 12 || !question.isAlive))
+    val made = (broadcasts -- shared).size
     while (question.isAlive) { sc.cancelJobsWithTag(tag); question.join(20) }
     assert(outcome.isLeft, "the question ran to its end")
+    assert(made == 12, made)
     assert(Iterator.iterate[Throwable](outcome.swap.toOption.get)(_.getCause).takeWhile(_ != null)
       .exists(e => String.valueOf(e.getMessage).contains(tag)), outcome)
     assert(cacheState == caches)
@@ -216,9 +218,10 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
         plans.add(qe.executedPlan)
       override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
     }
+    val movies  = localMovies // forced here: the catalog's own collects are not the question's
     spark.listenerManager.register(capture)
     val ((samples, stages), jobs) =
-      try jobsOf(stagesOf(BatchSampler.sample(spark, Queries.r4, localMovies, ProvQuestion(tomFord, Whynot), forced)))
+      try jobsOf(stagesOf(BatchSampler.sample(spark, Queries.r4, movies, ProvQuestion(tomFord, Whynot), forced)))
       finally spark.listenerManager.unregister(capture)
     assert(samples.size == 3 && !samples.exists(_.exact))
     // Each rule's sample is the one plan with a takeN. Below its δ (the
@@ -232,9 +235,10 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       assert(collect(delta.head.child) { case j: BaseJoinExec => j; case e: Exchange => e }.isEmpty, p)
       assert(collect(p) { case j: BaseJoinExec => j }.isEmpty, p)
     }
-    // σ_t(Q) takes 11 jobs of one stage each (its adaptive plan runs each
-    // shuffle stage as a job), the domains and markers 1, and each rule's
-    // sample 2: its map stage and the takeN after δ's exchange.
+    // The head set of σ_t(Q) that r4's rules share takes 11 jobs of one stage
+    // each (its adaptive plan runs each shuffle stage as a job), the domains
+    // and markers 1, and each rule's sample 2: its map stage and the takeN
+    // after δ's exchange.
     assert(jobs <= 18 && stages <= 18, (jobs, stages))
   }
 
@@ -320,21 +324,46 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val days  = (10 to 14).map(d => java.sql.Date.valueOf(s"2016-11-$d"))
     val times = Catalog("S" -> days.take(3).toDF("s"), "U" -> days.drop(2).toDF("u"),
       "T" -> days.slice(1, 4).map(d => new java.sql.Timestamp(d.getTime)).toDF("t"))
+    // Two heads over σ_t(Q) = {(2, 'a'), (1, 'b')}: h1 can take only the
+    // answers whose second value is 'a', k1 only those whose two values are
+    // equal, so the answer (1, 'b') of h2 removes no derivation of either.
+    // X = 1 is a missing answer of both; h2 and k2 have no derivation.
+    val xy     = Vector(x, y)
+    val heads  = Program(Rule("h1", "Q", Vector(x, Const("a")), Vector(Atom("R", Vector(x)), Atom("T", Vector(x)))),
+      Rule("h2", "Q", xy, Vector(Atom("S", xy))))
+    val twice  = Program(Rule("k1", "Q", Vector(x, x), Vector(Atom("R", Vector(x)), Atom("T", Vector(x)))),
+      Rule("k2", "Q", xy, Vector(Atom("S", xy))))
+    def rst(s: DataFrame) = Catalog("R" -> Seq(1L, 2L).toDF("r"), "T" -> Seq(2L).toDF("t"), "S" -> s)
+    val hcat   = rst(Seq((1L, "b")).toDF("s_a", "s_b"))
     val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
-    for ((program, cat, t) <- Seq((thetas, rex, PTuple("Q", Vector(x, y))), (types, ints, PTuple("Q", Vector(x))),
-        (types, times, PTuple("Q", Vector(x))))) {
+    for ((program, cat, t, only) <- Seq(
+        (thetas, rex, PTuple("Q", xy), None),
+        (types, ints, PTuple("Q", Vector(x)), None),
+        (types, times, PTuple("Q", Vector(x)), None),
+        (heads, hcat, PTuple("Q", xy), Some("h1")),
+        (twice, rst(Seq((1L, 3L)).toDF("s_a", "s_b")), PTuple("Q", xy), Some("k1")))) {
       val pq    = ProvQuestion(t, Whynot)
       val exact = BatchSampler.sample(spark, program, cat, pq, cfg.copy(fullEnumFactor = Double.MaxValue))
       val fulls = program.rules.map(r => r.name -> multiset(FullWhyNot.derivations(spark, program, r, cat, t).get))
-      assert(fulls.forall(_._2.nonEmpty), t)
+        .filter(_._2.nonEmpty)
+      assert(fulls.map(_._1) == only.fold(program.rules.map(_.name))(Vector(_)), t)
+      only.foreach(r => assert(fulls == Vector(r -> Seq("1|true|false")), t))
       assert(exact.map(s => s.rule.name -> multiset(s.sample)) == fulls, t)
       val sampled = BatchSampler.sample(spark, program, cat, pq, forced)
-      assert(sampled.map(_.rule.name) == program.rules.map(_.name) && !sampled.exists(_.exact), t)
+      assert(sampled.map(_.rule.name) == fulls.map(_._1) && !sampled.exists(_.exact), t)
       sampled.foreach { s =>
         val ref = BatchSamplerSpec.zipSample(spark, program, s.rule, cat, t, s.nOS, forced)
         assert(multiset(s.sample) == multiset(ref), (t, s.rule.name))
       }
     }
+    // One head set per head and its variables' types: h1's and h2's heads
+    // differ by a constant, and r4's three rules share theirs.
+    def headKeys(program: Program, cat: Catalog, t: PTuple) = program.rules.map { r =>
+      val u = Unify.unify(r, t).get
+      DerivationOps.lookupKey(u.rule.head,
+        u.unboundVars.map(v => v.name -> DerivationOps.varDomain(u.rule, v, cat).schema.head.dataType).toMap)
+    }.distinct.size
+    assert(headKeys(heads, hcat, PTuple("Q", xy)) == 2 && headKeys(Queries.r4, localMovies, tomFord) == 1)
   }
 
   test("a question at nS < 1 throws, and FULL at nS = 0 still answers") {

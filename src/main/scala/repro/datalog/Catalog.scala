@@ -32,7 +32,10 @@ final class Catalog(
     * a single-column DataFrame named "v", NULLs and duplicates included.
     */
   def domain(rel: String, pos: Int): DataFrame =
-    domainOverrides.getOrElse((rel, pos), relation(rel).select(col(columns(rel)(pos)))).toDF("v")
+    domainOverride(rel, pos).getOrElse(relation(rel).select(col(columns(rel)(pos)))).toDF("v")
+
+  /** The domain [[withDomain]] set for the attribute, if any. */
+  def domainOverride(rel: String, pos: Int): Option[DataFrame] = domainOverrides.get((rel, pos))
 
   def withDomain(rel: String, pos: Int, dom: DataFrame): Catalog =
     new Catalog(relations, domainOverrides + ((rel, pos) -> dom))

@@ -13,17 +13,19 @@ import org.apache.spark.sql.functions._
   */
 object DatalogEval {
 
-  /** Compile a term to a Column given that variable columns carry the
-    * variable's name.
+  /** Compile a term to a Column, each variable to `bind` of it: by default
+    * the column that carries the variable's name.
     */
-  private def termCol(t: Term): Column = t match {
-    case Var(n)   => col(n)
+  private def termCol(t: Term, bind: Var => Column): Column = t match {
+    case v: Var   => bind(v)
     case Const(v) => lit(v)
   }
 
-  /** Compile a comparison to a boolean Column. */
-  def comparisonCol(c: Comparison): Column = {
-    val (l, r) = (termCol(c.left), termCol(c.right))
+  /** Compile a comparison to a boolean Column, each variable to `bind` of
+    * it (by default the column named after it).
+    */
+  def comparisonCol(c: Comparison, bind: Var => Column = v => col(v.name)): Column = {
+    val (l, r) = (termCol(c.left, bind), termCol(c.right, bind))
     c.op match {
       case CmpOp.Lt  => l < r
       case CmpOp.Leq => l <= r
@@ -34,34 +36,32 @@ object DatalogEval {
     }
   }
 
-  /** Project a relation for one atom: constant arguments become filters,
-    * repeated variables become intra-atom equality filters, and the result
-    * keeps exactly one column per distinct variable, named after it.
+  /** `atom` over the columns `cols` of its relation, split into a condition
+    * and a projection: the filters a row must pass (a constant argument
+    * equals its column; a repeated variable's later occurrence equals its
+    * first), and per distinct variable, in order, the column of its first
+    * occurrence. [[atomBindings]] applies them with `where` and `select`;
+    * an aggregate over the whole relation can apply them with `when`.
     */
-  def atomBindings(atom: Atom, catalog: Catalog): DataFrame = {
-    val rel  = catalog.relation(atom.relation)
-    val cols = rel.columns
+  def atomColumns(atom: Atom, cols: Seq[String]): (Seq[Column], Vector[Column]) = {
     require(cols.length == atom.arity,
       s"atom $atom arity mismatch with relation (${cols.length} columns)")
+    val first = atom.args.zipWithIndex.collect { case (v: Var, i) => v -> i }.reverse.toMap
+    val conditions = atom.args.zipWithIndex.collect {
+      case (Const(v), i)                => col(cols(i)) === lit(v)
+      case (v: Var, i) if first(v) != i => col(cols(i)) === col(cols(first(v)))
+    }
+    (conditions, atom.variables.map(v => col(cols(first(v)))))
+  }
 
-    var df = rel
-    // Constant positions: filter.
-    atom.args.zipWithIndex.foreach {
-      case (Const(v), i) => df = df.where(col(cols(i)) === lit(v))
-      case _             =>
-    }
-    // Repeated variables: equality between first and later occurrence.
-    val firstPos = scala.collection.mutable.Map.empty[Var, Int]
-    atom.args.zipWithIndex.foreach {
-      case (v: Var, i) =>
-        firstPos.get(v) match {
-          case Some(j) => df = df.where(col(cols(i)) === col(cols(j)))
-          case None    => firstPos += (v -> i)
-        }
-      case _ =>
-    }
-    val keep = atom.variables.map(v => col(cols(firstPos(v))).as(v.name))
-    df.select(keep: _*)
+  /** Project a relation for one atom: the [[atomColumns]] condition as
+    * filters, and one column per distinct variable, named after it.
+    */
+  def atomBindings(atom: Atom, catalog: Catalog): DataFrame = {
+    val rel                   = catalog.relation(atom.relation)
+    val (conditions, columns) = atomColumns(atom, rel.columns.toSeq)
+    conditions.foldLeft(rel)(_.where(_))
+      .select(columns.zip(atom.variables).map { case (c, v) => c.as(v.name) }: _*)
   }
 
   /** All successful valuations of the rule: one column per rule variable

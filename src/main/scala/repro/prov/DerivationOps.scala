@@ -1,9 +1,9 @@
 package repro.prov
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{BooleanType, DataType, StructField, StructType}
+import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType, FloatType, StructField, StructType}
 import repro.datalog._
 
 /** Shared relational building blocks over derivation spaces.
@@ -22,8 +22,11 @@ object DerivationOps {
   /** The paper's per-variable domain: the union of the domains of all
     * attributes the variable is bound to (`attrs(X)`), with predicates that
     * compare the variable to a constant pushed below (paper §5.2, `Q_X`
-    * before SAMPLE). Single column named after the variable. The only place
-    * a domain loses its NULLs and duplicates: once, over the whole union.
+    * before SAMPLE). Single column named after the variable. NULLs and
+    * duplicates go once, over the whole union. The plan FULL and why
+    * enumeration cross; the batch sampler collects a domain through
+    * [[domainInput]], as this plan only where the domain unions attributes
+    * or one is overridden.
     */
   def varDomain(unified: Rule, v: Var, catalog: Catalog): DataFrame = {
     val occ = unified.occurrences(v)
@@ -31,7 +34,7 @@ object DerivationOps {
     val union = occ.map { case (ai, ti) => catalog.domain(unified.atoms(ai).relation, ti) }
       .reduce(_.union(_)).toDF(v.name)
     // Single partition, taken before the δ: domains are small, so the δ and
-    // the sorted array of `domainValues` run in one task of the one
+    // the sorted array of `domainInput` run in one task of the one
     // `collectArrays` job, with no exchange (one shuffle stage per domain
     // otherwise), and the CartesianProduct of `crossSpace`, which multiplies
     // its inputs' partition counts, has one partition, not 8^n.
@@ -49,14 +52,33 @@ object DerivationOps {
   def domainKey(unified: Rule, v: Var): (Var, Set[(String, Int)], Set[Comparison]) =
     (v, unified.occurrences(v).map(o => (unified.atoms(o._1).relation, o._2)).toSet, thetaX(unified, v).toSet)
 
-  /** `domain` (a one-column frame, as [[varDomain]] gives it) as one row
-    * holding its values in Spark's ascending order: the order
-    * [[valuations]] indexes into. The sort runs in Spark, not on the driver,
-    * because Spark orders strings by their UTF-8 bytes and Java by their
-    * UTF-16 units. A frame for [[collectArrays]].
+  /** One why-not input as [[collectArrays]] collects it: the aggregate
+    * `agg`, one array, over `source`, a relation of the catalog by name
+    * (read by one frame with every other input over it) or a frame of its
+    * own.
     */
-  def domainValues(domain: DataFrame): DataFrame =
-    domain.select(sort_array(collect_list(col(domain.columns.head))))
+  final case class Input(source: Either[String, DataFrame], agg: Column)
+
+  /** [[varDomain]] of `v` as an [[Input]] and its column's field: its
+    * distinct values in Spark's ascending order, the order [[valuations]]
+    * indexes into. The sort runs in Spark, not on the driver, because Spark
+    * orders strings by their UTF-8 bytes and Java by their UTF-16 units.
+    * A variable that binds one attribute, not overridden in `catalog`, is an
+    * aggregate over its relation: the set of its non-NULL values that pass
+    * θ_X, with the equality of `distinct` ([[normalized]]). Any other reads
+    * its own [[varDomain]] frame.
+    */
+  def domainInput(unified: Rule, v: Var, catalog: Catalog): (StructField, Input) =
+    unified.occurrences(v).map(o => (unified.atoms(o._1).relation, o._2)).distinct match {
+      case Vector((rel, pos)) if catalog.domainOverride(rel, pos).isEmpty =>
+        val field = catalog.relation(rel).schema(pos)
+        val c     = col(field.name)
+        val kept  = thetaX(unified, v).map(DatalogEval.comparisonCol(_, _ => c)).foldLeft(c.isNotNull)(_ && _)
+        (field.copy(name = v.name), Input(Left(rel), sort_array(collect_set(when(kept, normalized(c, field.dataType))))))
+      case _ =>
+        val d = varDomain(unified, v, catalog)
+        (d.schema.head, Input(Right(d), sort_array(collect_list(col(v.name)))))
+    }
 
   /** What [[lookupRows]] reads of `atom`, whose variables have the
     * derivation types `types`: the atom without its negation, and its
@@ -65,38 +87,76 @@ object DerivationOps {
   def lookupKey(atom: Atom, types: Map[String, DataType]): (Atom, Seq[DataType]) =
     (atom.copy(negated = false), atom.variables.map(v => types(v.name)))
 
-  /** The bindings of `atom` in `catalog` as lookup keys: with no NULL (no
-    * derivation value is NULL, and a NULL key joins nothing), its variables
-    * cast to `types`, their derivation columns' types in variable order, so
-    * that equal values are equal on the driver as under the join's coercion.
+  /** The condition and key columns of `atom`'s lookup rows over its
+    * relation's `cols`: the [[DatalogEval.atomColumns]] condition and no
+    * NULL (no derivation value is NULL, and a NULL key joins nothing), and
+    * its variables cast to `types`, their derivation columns' types in
+    * variable order, so that equal values are equal on the driver as under
+    * the join's coercion, then [[normalized]].
+    */
+  private def lookupColumns(atom: Atom, cols: Seq[String], types: Seq[DataType]): (Column, Seq[Column]) = {
+    val (conditions, vars) = DatalogEval.atomColumns(atom.copy(negated = false), cols)
+    val keys = vars.zip(types).map { case (c, t) => normalized(c.cast(t), t) }
+    ((conditions ++ vars.map(_.isNotNull)).foldLeft(lit(true))(_ && _),
+      keys.zip(atom.variables).map { case (k, v) => k.as(v.name) })
+  }
+
+  /** The bindings of `atom` in `catalog` as lookup keys ([[lookupColumns]]).
     * A ground atom's key is the empty row, there iff its tuple exists.
     */
   def lookupRows(atom: Atom, catalog: Catalog, types: Seq[DataType]): DataFrame = {
-    val b = DatalogEval.atomBindings(atom.copy(negated = false), catalog)
-    b.where(b.columns.map(col(_).isNotNull).foldLeft(lit(true))(_ && _))
-      .select(b.columns.toSeq.zip(types).map { case (v, t) => col(v).cast(t).as(v) }: _*)
+    val rel         = catalog.relation(atom.relation)
+    val (cond, key) = lookupColumns(atom, rel.columns.toSeq, types)
+    rel.where(cond).select(key: _*)
   }
 
-  /** The goal markers of `atom`: its distinct [[lookupRows]], as one row
-    * holding them as one array of rows. Single partition, taken before the
-    * δ, as in [[varDomain]]. A frame for [[collectArrays]].
+  /** The goal markers of `atom`, its distinct [[lookupRows]], as an
+    * [[Input]] over its relation: the set of the rows' keys as structs, a
+    * ground atom's the empty struct iff its tuple exists.
     */
-  def goalMarkers(atom: Atom, catalog: Catalog, types: Seq[DataType]): DataFrame = {
-    val m = lookupRows(atom, catalog, types).coalesce(1).distinct()
-    m.select(collect_list(struct(m.columns.map(col).toSeq: _*)))
+  def markerInput(atom: Atom, catalog: Catalog, types: Seq[DataType]): Input = {
+    val (cond, key) = lookupColumns(atom, catalog.columns(atom.relation), types)
+    Input(Left(atom.relation), collect_set(when(cond, struct(key: _*))))
   }
 
-  /** The arrays of `frames`, aggregates of one row holding one array such as
-    * [[domainValues]] and [[goalMarkers]] give, in the order of `frames`,
-    * collected in one Spark job with one task per frame. The caller passes
-    * each distinct frame once. No frame, no job.
+  /** `c` of type `t` with the equality `distinct` groups by: a float's or
+    * double's every NaN is one NaN and -0.0 is 0.0, so that a set holds one
+    * of each, and a driver-side `Row` lookup (where -0.0 ≠ 0.0) finds them.
     */
-  def collectArrays(frames: Seq[DataFrame]): Seq[Array[Any]] =
-    if (frames.isEmpty) Vector.empty else frames.head.sparkSession.sparkContext.union(frames.map(_.rdd))
-      .collect().toVector.map(_.getSeq[Any](0).toArray)
+  private def normalized(c: Column, t: DataType): Column = t match {
+    case FloatType | DoubleType =>
+      when(isnan(c), lit(Double.NaN).cast(t)).when(c === 0, lit(0.0).cast(t)).otherwise(c)
+    case _ => c
+  }
+
+  /** The frames [[collectArrays]] reads `inputs` through, one per distinct
+    * source in order of first use: `source.coalesce(1).agg(…)` of its
+    * inputs' aggregates in their order. A relation is read once for all its
+    * inputs, by one single-partition aggregate with no exchange, one row.
+    */
+  def inputFrames(inputs: Seq[Input], catalog: Catalog): Seq[DataFrame] =
+    inputs.map(_.source).distinct.map { s =>
+      val aggs = inputs.filter(_.source == s).map(_.agg)
+      s.fold(catalog.relation, identity).coalesce(1).agg(aggs.head, aggs.tail: _*)
+    }
+
+  /** The arrays of `inputs`, in their order, collected in one Spark job with
+    * one task per frame of [[inputFrames]]. The caller passes each distinct
+    * input once. No input, no job.
+    */
+  def collectArrays(inputs: Seq[Input], catalog: Catalog): Seq[Array[Any]] = {
+    val frames = inputFrames(inputs, catalog)
+    if (frames.isEmpty) return Vector.empty
+    // The values come frame by frame, each frame's in its inputs' order.
+    val sources = inputs.map(_.source).distinct
+    val order   = inputs.indices.sortBy(i => sources.indexOf(inputs(i).source))
+    val values  = frames.head.sparkSession.sparkContext.union(frames.map(_.rdd)).collect().flatMap(_.toSeq)
+    val at      = order.zip(values).toMap
+    inputs.indices.map(i => at(i).asInstanceOf[scala.collection.Seq[Any]].toArray)
+  }
 
   /** `n` valuations over the broadcast `domains` (as [[collectArrays]]
-    * gives them for [[domainValues]]), one `schema` column each: valuation
+    * gives them for [[domainInput]]s), one `schema` column each: valuation
     * `id` of `range(n)` takes from domain `i` its value at index
     * `pick(id, i)`. The plan has no join, exchange or driver-side relation
     * of `n` rows; the caller owns the broadcast.
@@ -149,7 +209,7 @@ object DerivationOps {
 
   /** What [[lookupDerivations]] reads of a rule, broadcast: the
     * [[lookupRows]] of its head atom over σ_t(Q), and per body atom its
-    * [[goalMarkers]], each row keyed in the order of the atom's variables.
+    * goal markers ([[markerInput]]), each row keyed in the order of the atom's variables.
     * A ground head's or atom's key is the empty row.
     */
   final case class Lookups(head: Broadcast[Set[Row]], markers: Vector[Broadcast[Set[Row]]])

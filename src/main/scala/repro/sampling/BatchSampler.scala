@@ -183,28 +183,27 @@ object BatchSampler {
       case Whynot =>
         val us      = unified.map(_._2)
         val vars    = us.map(u => u.unboundVars.map(v => (DerivationOps.domainKey(u.rule, v), u.rule, v)))
-        val domains = vars.flatten.distinctBy(_._1).map(d => d._1 -> DerivationOps.varDomain(d._2, d._3, catalog))
-        val field   = domains.map { case (k, f) => k -> f.schema.head }.toMap
+        val domains = vars.flatten.distinctBy(_._1).map(d => d._1 -> DerivationOps.domainInput(d._2, d._3, catalog))
+        val field   = domains.map { case (k, (f, _)) => k -> f }.toMap
         val types   = vars.map(_.map { case (k, _, v) => v.name -> field(k).dataType }.toMap)
         val atoms   = us.zip(types).map { case (u, ts) => u.rule.atoms.map(DerivationOps.lookupKey(_, ts)) }
         val heads   = us.zip(types).map { case (u, ts) => DerivationOps.lookupKey(u.rule.head, ts) }
         val (marks, shapes) = (atoms.flatten.distinct, heads.distinct)
         val answers = Catalog(program.headPred -> DatalogEval.restrictedAnswers(program, catalog, pq.tuple))
-        val frames  = domains.map(d => DerivationOps.domainValues(d._2)) ++
-          marks.map { case (a, ts) => DerivationOps.goalMarkers(a, catalog, ts) }
+        val inputs  = domains.map(_._2._2) ++ marks.map { case (a, ts) => DerivationOps.markerInput(a, catalog, ts) }
         val Vector(headRows: Seq[Array[Row]] @unchecked, arrays: Seq[Array[Any]] @unchecked) = concurrently(spark,
           Vector(() => shapes.map { case (h, ts) => DerivationOps.lookupRows(h, answers, ts).collect() },
-            () => DerivationOps.collectArrays(frames)))(_())
+            () => DerivationOps.collectArrays(inputs, catalog)))(_())
         def sets(keys: Seq[(Atom, Seq[DataType])], rows: Seq[Array[_]]) =
           keys.zip(rows).map { case (k, rs) => k -> shared(rs.iterator.map(_.asInstanceOf[Row]).toSet) }.toMap
         val values   = domains.map(_._1).zip(arrays).toMap
         val marked   = sets(marks, arrays.drop(domains.size))
         val headSets = sets(shapes, headRows)
-        val inputs   = vars.indices.map { r =>
+        val perRule  = vars.indices.map { r =>
           (StructType(vars(r).map(v => field(v._1))), shared[Seq[Array[Any]]](vars(r).map(v => values(v._1))),
             DerivationOps.Lookups(headSets(heads(r)), atoms(r).map(marked)))
         }
-        concurrently(spark, unified.zip(inputs)) { case ((r, u), (schema, domains, lookups)) =>
+        concurrently(spark, unified.zip(perRule)) { case ((r, u), (schema, domains, lookups)) =>
           whynot(spark, r, u, schema, domains, lookups, cfg)
         }.flatten
     } finally held.foreach(_.destroy())

@@ -117,16 +117,73 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(keys.map(_.size) == Vector(13, 13, 13) && keys.flatten.distinct.size == 14)
     assert(keys(1) == keys(2) && keys(0).map(_._1) == keys(1).map(_._1))
     assert(keys(0).zip(keys(1)).collect { case (a, b) if a != b => a._1 } == Vector(Var("I")))
-    val frames = unified.flatMap(u => u.unboundVars.map(v => DerivationOps.domainKey(u.rule, v) -> (u, v)))
-      .distinctBy(_._1).map { case (_, (u, v)) => DerivationOps.varDomain(u.rule, v, localMovies) }
-    val (values, jobs) = jobsOf(DerivationOps.collectArrays(frames.map(DerivationOps.domainValues)))
+    val vars   = unified.flatMap(u => u.unboundVars.map(v => DerivationOps.domainKey(u.rule, v) -> (u, v)))
+      .distinctBy(_._1).map(_._2)
+    val frames = vars.map { case (u, v) => DerivationOps.varDomain(u.rule, v, localMovies) }
+    val inputs = vars.map { case (u, v) => DerivationOps.domainInput(u.rule, v, localMovies) }
+    val (values, jobs) = jobsOf(DerivationOps.collectArrays(inputs.map(_._2), localMovies))
     assert(jobs == 1 && values.size == 14)
-    assert(values.zip(frames).forall { case (a, f) => a.length == f.count() })
+    assert(inputs.map(_._1) == frames.map(_.schema.head))
+    assert(values.zip(frames).forall { case (a, f) =>
+      a.toSeq == f.select(sort_array(collect_list(col(f.columns.head)))).head().getSeq[Any](0) })
     val (schema, shared) = BatchSamplerSpec.collected(spark, frames.take(13))
     val d = BatchSampler.draw(spark, schema, shared, 1000, 7L)
     assert(d.queryExecution.optimizedPlan.collect { case w: Window => w; case j: Join => j }.isEmpty)
     assert(collect(d.queryExecution.executedPlan) { case e: Exchange => e }.isEmpty)
     assert(d.count() == 1000)
+  }
+
+  test("r4's why-not inputs are 7 frames, one per relation and one per union domain, collected in one job of 7 tasks") {
+    val unified = Queries.r4.rules.map(r => Unify.unify(r, tomFord).get)
+    val domains = unified.flatMap(u => u.unboundVars.map(v => DerivationOps.domainKey(u.rule, v) -> (u, v)))
+      .distinctBy(_._1).map { case (_, (u, v)) => DerivationOps.domainInput(u.rule, v, localMovies)._2 }
+    val markers = unified.flatMap { u =>
+      val types = u.unboundVars.map(v => v.name -> DerivationOps.domainInput(u.rule, v, localMovies)._1.dataType).toMap
+      u.rule.atoms.map(DerivationOps.lookupKey(_, types))
+    }.distinct.map { case (a, ts) => DerivationOps.markerInput(a, localMovies, ts) }
+    assert(domains.size == 14 && markers.size == 8)
+    // MOVIES, CASTS, GENRES, KEYWORDS and RATINGS, and I's two unions.
+    val inputs = domains ++ markers
+    val frames = DerivationOps.inputFrames(inputs, localMovies)
+    assert(frames.size == 7 && domains.count(_.source.isRight) == 2)
+    frames.foreach(f => assert(collect(f.queryExecution.executedPlan) { case e: Exchange => e }.isEmpty, f))
+    val tasks = new java.util.concurrent.atomic.AtomicInteger
+    val count = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = tasks.addAndGet(e.stageInfos.map(_.numTasks).sum)
+    }
+    spark.sparkContext.addSparkListener(count)
+    val (arrays, jobs) =
+      try jobsOf(DerivationOps.collectArrays(inputs, localMovies))
+      finally spark.sparkContext.removeSparkListener(count)
+    assert(jobs == 1 && tasks.get == 7 && arrays.size == 22)
+  }
+
+  test("domains and markers keep distinct's equality for NaN, -0.0 and NULL, beside constants and an override") {
+    import spark.implicits._
+    val (x, y, z, w) = (Var("X"), Var("Y"), Var("Z"), Var("W"))
+    val nan2 = java.lang.Double.longBitsToDouble(0xfff8000000000000L)
+    // X binds R.r_a alone, a double holding 0.0 with Y = 2 and -0.0 with
+    // Y = 1, two NaN bit patterns and a NULL. Z binds T's two columns; W
+    // binds U.u alone, whose domain is overridden. S(Y, 'c') has a
+    // constant, T(Z, Z) a repeated variable, and S(2, 'c') (present) and
+    // S(2, 'e') (absent) are ground, so Q has no answer.
+    val r   = Seq[(java.lang.Double, Long)]((0.0, 2L), (-0.0, 1L), (Double.NaN, 2L), (nan2, 1L), (null, 3L), (1.5, 1L))
+    val t   = Seq[(java.lang.Double, java.lang.Double)]((0.0, -0.0), (-0.0, -0.0), (Double.NaN, nan2), (1.5, 2.5))
+    val cat = Catalog("R" -> r.toDF("r_a", "r_b"), "T" -> t.toDF("t_a", "t_b"),
+      "S" -> Seq((1L, "c"), (2L, "c"), (3L, "d")).toDF("s_a", "s_b"), "U" -> Seq(5L).toDF("u"))
+      .withDomain("U", 0, Seq(5L, 6L).toDF("v"))
+    val q = Program(Rule("q", "Q", Vector(y), Vector(Atom("R", Vector(x, y)), Atom("T", Vector(z, z)),
+      Atom("S", Vector(y, Const("c"))), Atom("S", Vector(Const(2L), Const("c"))),
+      Atom("S", Vector(Const(2L), Const("e"))), Atom("U", Vector(w)))))
+    val tq   = PTuple("Q", Vector(y))
+    val full = multiset(FullWhyNot.derivations(spark, q, q.rules.head, cat, tq).get)
+    // Y ∈ {1, 2, 3}, X ∈ {0.0, 1.5, NaN}, Z ∈ {0.0, 1.5, 2.5, NaN}, W ∈ {5, 6}.
+    assert(full.size == 72 && full.exists(_.startsWith("1|NaN|")) && !full.exists(_.contains("-0.0")))
+    val exact = BatchSampler.whynotSample(spark, q, q.rules.head, cat, tq, cfg.copy(fullEnumFactor = Double.MaxValue)).get
+    assert(exact.exact && multiset(exact.sample) == full)
+    val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
+    val s      = BatchSampler.whynotSample(spark, q, q.rules.head, cat, tq, forced).get
+    assert(!s.exact && multiset(s.sample) == multiset(BatchSamplerSpec.zipSample(spark, q, q.rules.head, cat, tq, s.nOS, forced)))
   }
 
   test("draw at the n_OS cap counts every valuation without a driver-side relation") {
@@ -575,7 +632,8 @@ object BatchSamplerSpec {
     * them to [[BatchSampler.draw]] and [[DerivationOps.fullSpace]].
     */
   def collected(spark: SparkSession, frames: Seq[DataFrame]): (StructType, Broadcast[Seq[Array[Any]]]) =
-    (StructType(frames.map(_.schema.head)), spark.sparkContext.broadcast(DerivationOps.collectArrays(frames.map(DerivationOps.domainValues))))
+    (StructType(frames.map(_.schema.head)), spark.sparkContext.broadcast(DerivationOps.collectArrays(
+      frames.map(f => DerivationOps.Input(Right(f), sort_array(collect_list(col(f.columns.head))))), Catalog())))
 
   /** The batch-sampled why-not rows of `rule` from [[zipDraw]]: `nOS` zipped
     * draws, then [[DerivationOps.whynotDerivations]], δ and `takeN`.

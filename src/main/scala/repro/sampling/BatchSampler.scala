@@ -16,8 +16,8 @@ import scala.reflect.ClassTag
 /** Batch sampling of why-not (and why) provenance (paper §5).
   *
   * A why-not question first collects to the driver, in one Spark job with
-  * one task per frame, each distinct variable domain and body atom's goal
-  * markers (its distinct bindings) that its rules read, and, on a second
+  * one task per relation read, each distinct variable domain and body
+  * atom's goal markers (its distinct bindings) that its rules read, and, on a second
   * thread meanwhile, each distinct head's bindings in σ_t(Q), the head read
   * as an atom over the answers. Each rule's sample is then one map stage over
   * `range(n_OS)` against those values, broadcast, followed by δ and `takeN`:
@@ -100,7 +100,7 @@ object BatchSampler {
 
   /** `Q_X`: `n` valuations drawn uniformly with replacement, one `schema`
     * column per domain of `domains` (collected by
-    * [[DerivationOps.collectArrays]] of [[DerivationOps.domainValues]], in
+    * [[DerivationOps.collectArrays]] of [[DerivationOps.domainInput]]s, in
     * Spark's order). Draw `id` of `range(n)` takes, from domain `i`, the
     * value at index
     * `pmod(xxhash64(id, seed + 7919·(i+1)), |D_i|)`, which is
@@ -138,7 +138,7 @@ object BatchSampler {
     *
     * A question caches nothing, and a why rule's sample is one collect. A
     * why-not question collects its rules' distinct domains and goal markers
-    * in one job, and their heads' bindings in σ_t(Q) on a second thread, one
+    * in one job, one aggregate frame per relation they read, and their heads' bindings in σ_t(Q) on a second thread, one
     * collect per distinct head and types, then samples the rules
     * concurrently over broadcasts it destroys before it returns or throws.
     */
@@ -165,8 +165,12 @@ object BatchSampler {
     * release in `finally`. A why-not input is keyed before any plan is built
     * (a domain by [[DerivationOps.domainKey]], a body atom's markers and a
     * head's bindings by [[DerivationOps.lookupKey]]), then built and collected
-    * once; a marker set and a head set are broadcast once, and shared by the
-    * rules that read them.
+    * once. The domains and markers are aggregates
+    * ([[DerivationOps.domainInput]], [[DerivationOps.markerInput]]), read
+    * through one frame per relation, plus one per domain that unions
+    * attributes or is overridden: r4's 22 inputs are 7 frames, one job. A
+    * marker set and a head set are broadcast once, and shared by the rules
+    * that read them.
     */
   private def sampleRules(spark: SparkSession, program: Program, rules: Seq[Rule], catalog: Catalog,
                           pq: ProvQuestion, cfg: Config): Vector[RuleSample] = {

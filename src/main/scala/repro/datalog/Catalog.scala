@@ -11,8 +11,10 @@ import org.apache.spark.sql.functions.col
   * distinct values occurring in that attribute (active domain, §2.1). We
   * mirror that: `domain(rel, pos)` defaults to the column's values but can
   * be overridden per attribute. Either is returned as it is: NULLs and
-  * duplicates are removed only by [[repro.prov.DerivationOps.varDomain]],
-  * once over all the attributes a variable binds.
+  * duplicates are removed by [[repro.prov.DerivationOps.varDomain]], once
+  * over all the attributes a variable binds, or, for a variable that binds
+  * one attribute that is not overridden, by the aggregate of
+  * [[repro.prov.DerivationOps.domainInput]].
   */
 final class Catalog(
     relations: Map[String, DataFrame],

@@ -53,11 +53,11 @@ object DerivationOps {
     (v, unified.occurrences(v).map(o => (unified.atoms(o._1).relation, o._2)).toSet, thetaX(unified, v).toSet)
 
   /** One why-not input as [[collectArrays]] collects it: the aggregate
-    * `agg`, one array, over `source`, a relation of the catalog by name
-    * (read by one frame with every other input over it) or a frame of its
-    * own.
+    * `agg`, one array, over `source`. Inputs over the same source frame (a
+    * relation as [[Catalog.relation]] returns it; `Dataset`s are equal only
+    * as the same instance) are read by one frame.
     */
-  final case class Input(source: Either[String, DataFrame], agg: Column)
+  final case class Input(source: DataFrame, agg: Column)
 
   /** [[varDomain]] of `v` as an [[Input]] and its column's field: its
     * distinct values in Spark's ascending order, the order [[valuations]]
@@ -74,10 +74,10 @@ object DerivationOps {
         val field = catalog.relation(rel).schema(pos)
         val c     = col(field.name)
         val kept  = thetaX(unified, v).map(DatalogEval.comparisonCol(_, _ => c)).foldLeft(c.isNotNull)(_ && _)
-        (field.copy(name = v.name), Input(Left(rel), sort_array(collect_set(when(kept, normalized(c, field.dataType))))))
+        (field.copy(name = v.name), Input(catalog.relation(rel), sort_array(collect_set(when(kept, normalized(c, field.dataType))))))
       case _ =>
         val d = varDomain(unified, v, catalog)
-        (d.schema.head, Input(Right(d), sort_array(collect_list(col(v.name)))))
+        (d.schema.head, Input(d, sort_array(collect_list(col(v.name)))))
     }
 
   /** What [[lookupRows]] reads of `atom`, whose variables have the
@@ -116,7 +116,7 @@ object DerivationOps {
     */
   def markerInput(atom: Atom, catalog: Catalog, types: Seq[DataType]): Input = {
     val (cond, key) = lookupColumns(atom, catalog.columns(atom.relation), types)
-    Input(Left(atom.relation), collect_set(when(cond, struct(key: _*))))
+    Input(catalog.relation(atom.relation), collect_set(when(cond, struct(key: _*))))
   }
 
   /** `c` of type `t` with the equality `distinct` groups by: a float's or
@@ -130,28 +130,26 @@ object DerivationOps {
   }
 
   /** The frames [[collectArrays]] reads `inputs` through, one per distinct
-    * source in order of first use: `source.coalesce(1).agg(…)` of its
-    * inputs' aggregates in their order. A relation is read once for all its
-    * inputs, by one single-partition aggregate with no exchange, one row.
+    * source in order of first use, each with the indices of its inputs:
+    * `source.coalesce(1).agg(…)` of those inputs' aggregates in their order.
+    * A relation is read once for all its inputs, by one single-partition
+    * aggregate with no exchange, one row.
     */
-  def inputFrames(inputs: Seq[Input], catalog: Catalog): Seq[DataFrame] =
+  def inputFrames(inputs: Seq[Input]): Seq[(DataFrame, Seq[Int])] =
     inputs.map(_.source).distinct.map { s =>
-      val aggs = inputs.filter(_.source == s).map(_.agg)
-      s.fold(catalog.relation, identity).coalesce(1).agg(aggs.head, aggs.tail: _*)
+      val at = inputs.indices.filter(inputs(_).source eq s)
+      (s.coalesce(1).agg(inputs(at.head).agg, at.tail.map(inputs(_).agg): _*), at)
     }
 
   /** The arrays of `inputs`, in their order, collected in one Spark job with
     * one task per frame of [[inputFrames]]. The caller passes each distinct
     * input once. No input, no job.
     */
-  def collectArrays(inputs: Seq[Input], catalog: Catalog): Seq[Array[Any]] = {
-    val frames = inputFrames(inputs, catalog)
+  def collectArrays(inputs: Seq[Input]): Seq[Array[Any]] = {
+    val frames = inputFrames(inputs)
     if (frames.isEmpty) return Vector.empty
-    // The values come frame by frame, each frame's in its inputs' order.
-    val sources = inputs.map(_.source).distinct
-    val order   = inputs.indices.sortBy(i => sources.indexOf(inputs(i).source))
-    val values  = frames.head.sparkSession.sparkContext.union(frames.map(_.rdd)).collect().flatMap(_.toSeq)
-    val at      = order.zip(values).toMap
+    val rows = frames.head._1.sparkSession.sparkContext.union(frames.map(_._1.rdd)).collect()
+    val at   = frames.zip(rows).flatMap { case ((_, is), row) => is.zip(row.toSeq) }.toMap
     inputs.indices.map(i => at(i).asInstanceOf[scala.collection.Seq[Any]].toArray)
   }
 

@@ -197,7 +197,7 @@ object BatchSampler {
         val inputs  = domains.map(_._2._2) ++ marks.map { case (a, ts) => DerivationOps.markerInput(a, catalog, ts) }
         val Vector(headRows: Seq[Array[Row]] @unchecked, arrays: Seq[Array[Any]] @unchecked) = concurrently(spark,
           Vector(() => shapes.map { case (h, ts) => DerivationOps.lookupRows(h, answers, ts).collect() },
-            () => DerivationOps.collectArrays(inputs, catalog)))(_())
+            () => DerivationOps.collectArrays(inputs)))(_())
         def sets(keys: Seq[(Atom, Seq[DataType])], rows: Seq[Array[_]]) =
           keys.zip(rows).map { case (k, rs) => k -> shared(rs.iterator.map(_.asInstanceOf[Row]).toSet) }.toMap
         val values   = domains.map(_._1).zip(arrays).toMap

@@ -63,26 +63,21 @@ object TopK {
     val cp: Array[Double]   = ps.iterator.map(_.cp).toArray
     val info: Array[Double] = ps.iterator.map(_.info).toArray
 
+    private def rows(related: (Pattern, Pattern) => Boolean): Array[Array[Long]] =
+      Array.tabulate(n) { i =>
+        val row = new Array[Long]((n + 63) >>> 6)
+        for (j <- 0 until n if related(ps(i), ps(j))) row(j >>> 6) |= 1L << j
+        row
+      }
+
     /** `⊥p`: bit j of row i is set iff patterns i and j have disjoint match sets. */
-    val disjoint: Array[Array[Long]] = Array.fill(n)(new Array[Long]((n + 63) >>> 6))
+    val disjoint: Array[Array[Long]] = rows(_ disjointWith _)
 
     /** `⪯p`: bit j of row i is set iff pattern j generalizes pattern i, j ≠ i. */
-    val generalizedBy: Array[Array[Long]] = Array.fill(n)(new Array[Long]((n + 63) >>> 6))
-
-    // Patterns of different rules or goal vectors are disjoint and never
-    // generalize each other: every bit of a `⊥p` row starts set, and only
-    // the pairs of one (rule, goals) group are compared, each once, `⊥p`
-    // being symmetric.
-    for (i <- 0 until n; j <- 0 until n) disjoint(i)(j >>> 6) |= 1L << j
-    for (group <- (0 until n).groupBy(i => (ps(i).ruleName, ps(i).goals)).values;
-         a <- group.indices; b <- a until group.size) {
-      val (i, j) = (group(a), group(b))
-      if (i == j || !ps(i).disjointWith(ps(j))) {
-        disjoint(i)(j >>> 6) &= ~(1L << j)
-        disjoint(j)(i >>> 6) &= ~(1L << i)
-      }
-      if (i != j && ps(i).generalizedBy(ps(j))) generalizedBy(i)(j >>> 6) |= 1L << j
-      if (i != j && ps(j).generalizedBy(ps(i))) generalizedBy(j)(i >>> 6) |= 1L << i
+    val generalizedBy: Array[Array[Long]] = {
+      val g = rows(_ generalizedBy _)
+      for (i <- 0 until n) g(i)(i >>> 6) &= ~(1L << i)
+      g
     }
 
     def has(row: Array[Long], j: Int): Boolean = ((row(j >>> 6) >>> j) & 1L) != 0L

@@ -11,7 +11,7 @@ import org.apache.spark.sql.execution.exchange.Exchange
 import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.expressions.{Window => W}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types.{DoubleType, LongType, StructType}
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
@@ -121,7 +121,7 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       .distinctBy(_._1).map(_._2)
     val frames = vars.map { case (u, v) => DerivationOps.varDomain(u.rule, v, localMovies) }
     val inputs = vars.map { case (u, v) => DerivationOps.domainInput(u.rule, v, localMovies) }
-    val (values, jobs) = jobsOf(DerivationOps.collectArrays(inputs.map(_._2), localMovies))
+    val (values, jobs) = jobsOf(DerivationOps.collectArrays(inputs.map(_._2)))
     assert(jobs == 1 && values.size == 14)
     assert(inputs.map(_._1) == frames.map(_.schema.head))
     assert(values.zip(frames).forall { case (a, f) =>
@@ -144,16 +144,20 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(domains.size == 14 && markers.size == 8)
     // MOVIES, CASTS, GENRES, KEYWORDS and RATINGS, and I's two unions.
     val inputs = domains ++ markers
-    val frames = DerivationOps.inputFrames(inputs, localMovies)
-    assert(frames.size == 7 && domains.count(_.source.isRight) == 2)
-    frames.foreach(f => assert(collect(f.queryExecution.executedPlan) { case e: Exchange => e }.isEmpty, f))
+    val frames = DerivationOps.inputFrames(inputs)
+    val relations = Seq("MOVIES", "CASTS", "GENRES", "KEYWORDS", "RATINGS").map(localMovies.relation)
+    assert(frames.size == 7 && frames.map(_._2).flatten.sorted == inputs.indices)
+    val sources = frames.map(f => inputs(f._2.head).source)
+    assert(relations.forall(r => sources.count(_ eq r) == 1))
+    assert(domains.count(d => !relations.exists(_ eq d.source)) == 2)
+    frames.foreach(f => assert(collect(f._1.queryExecution.executedPlan) { case e: Exchange => e }.isEmpty, f))
     val tasks = new java.util.concurrent.atomic.AtomicInteger
     val count = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = tasks.addAndGet(e.stageInfos.map(_.numTasks).sum)
     }
     spark.sparkContext.addSparkListener(count)
     val (arrays, jobs) =
-      try jobsOf(DerivationOps.collectArrays(inputs, localMovies))
+      try jobsOf(DerivationOps.collectArrays(inputs))
       finally spark.sparkContext.removeSparkListener(count)
     assert(jobs == 1 && tasks.get == 7 && arrays.size == 22)
   }
@@ -184,6 +188,21 @@ class BatchSamplerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val forced = cfg.copy(fullEnumFactor = 0.0, nS = 20)
     val s      = BatchSampler.whynotSample(spark, q, q.rules.head, cat, tq, forced).get
     assert(!s.exact && multiset(s.sample) == multiset(BatchSamplerSpec.zipSample(spark, q, q.rules.head, cat, tq, s.nOS, forced)))
+    // P(X, Y) :- R(X, Y), S(Y, 'c') has answers from R's (-0.0, 1) and
+    // both NaNs: the valuations (0.0, 1) and (NaN, 1) derive answers, as
+    // under FULL's anti-join. The answers come out of a `distinct`, so
+    // they hold one 0.0 and one NaN; the head lookup rows, read straight
+    // off R, hold distinct's values too.
+    val p     = Program(Rule("p", "P", Vector(x, y), Vector(Atom("R", Vector(x, y)), Atom("S", Vector(y, Const("c"))))))
+    val tp    = PTuple("P", Vector(x, y))
+    val fullP = multiset(FullWhyNot.derivations(spark, p, p.rules.head, cat, tp).get)
+    // X ∈ {0.0, 1.5, NaN} and Y ∈ {1, 2, 3}, less the answers (0.0, 1),
+    // (0.0, 2), (1.5, 1), (NaN, 1) and (NaN, 2).
+    assert(fullP.size == 4 && !fullP.exists(_.startsWith("0.0|1|")))
+    val exactP = BatchSampler.whynotSample(spark, p, p.rules.head, cat, tp, cfg.copy(fullEnumFactor = Double.MaxValue)).get
+    assert(exactP.exact && multiset(exactP.sample) == fullP)
+    val heads = DerivationOps.lookupRows(Atom("R", Vector(x, y)), cat, Seq(DoubleType, LongType)).collect()
+    assert(heads.map(_.mkString("|")).toSet == Set("0.0|2", "0.0|1", "NaN|2", "NaN|1", "1.5|1"))
   }
 
   test("draw at the n_OS cap counts every valuation without a driver-side relation") {
@@ -633,7 +652,7 @@ object BatchSamplerSpec {
     */
   def collected(spark: SparkSession, frames: Seq[DataFrame]): (StructType, Broadcast[Seq[Array[Any]]]) =
     (StructType(frames.map(_.schema.head)), spark.sparkContext.broadcast(DerivationOps.collectArrays(
-      frames.map(f => DerivationOps.Input(Right(f), sort_array(collect_list(col(f.columns.head))))), Catalog())))
+      frames.map(f => DerivationOps.Input(f, sort_array(collect_list(col(f.columns.head))))))))
 
   /** The batch-sampled why-not rows of `rule` from [[zipDraw]]: `nOS` zipped
     * draws, then [[DerivationOps.whynotDerivations]], δ and `takeN`.

@@ -74,7 +74,8 @@ object DerivationOps {
         val field = catalog.relation(rel).schema(pos)
         val c     = col(field.name)
         val kept  = thetaX(unified, v).map(DatalogEval.comparisonCol(_, _ => c)).foldLeft(c.isNotNull)(_ && _)
-        (field.copy(name = v.name), Input(catalog.relation(rel), sort_array(collect_set(when(kept, normalized(c, field.dataType))))))
+        val set   = collect_set(when(kept, normalized(c, field.dataType)))
+        (field.copy(name = v.name), Input(catalog.relation(rel), sort_array(set)))
       case _ =>
         val d = varDomain(unified, v, catalog)
         (d.schema.head, Input(d, sort_array(collect_list(col(v.name)))))

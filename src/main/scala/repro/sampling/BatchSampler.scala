@@ -16,9 +16,10 @@ import scala.reflect.ClassTag
 /** Batch sampling of why-not (and why) provenance (paper §5).
   *
   * A why-not question first collects to the driver, in one Spark job with
-  * one task per relation read, each distinct variable domain and body
-  * atom's goal markers (its distinct bindings) that its rules read, and, on a second
-  * thread meanwhile, each distinct head's bindings in σ_t(Q), the head read
+  * one task per relation read (and per domain that unions attributes),
+  * each distinct variable domain and body atom's goal markers (its
+  * distinct bindings) that its rules read, and, on a second thread
+  * meanwhile, each distinct head's bindings in σ_t(Q), the head read
   * as an atom over the answers. Each rule's sample is then one map stage over
   * `range(n_OS)` against those values, broadcast, followed by δ and `takeN`:
   *
@@ -138,8 +139,9 @@ object BatchSampler {
     *
     * A question caches nothing, and a why rule's sample is one collect. A
     * why-not question collects its rules' distinct domains and goal markers
-    * in one job, one aggregate frame per relation they read, and their heads' bindings in σ_t(Q) on a second thread, one
-    * collect per distinct head and types, then samples the rules
+    * in one job, one aggregate frame per relation they read, and their
+    * heads' bindings in σ_t(Q) on a second thread, one collect per
+    * distinct head and types, then samples the rules
     * concurrently over broadcasts it destroys before it returns or throws.
     */
   def sample(
